@@ -162,7 +162,7 @@ def cmd_search(args) -> int:
     else:
         print(
             f"M^e({args.L},{args.w}) = {res.size} (exact), witness generators "
-            f"{res.witness.canonical_generators()}"
+            f"{res.witness.canonical_generators()}, {res.nodes} search nodes"
         )
     return 0
 
@@ -381,7 +381,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BudgetExceeded as e:
-        _err(f"budget exceeded: {e}" + (f" (incumbent {e.size}, not exact)" if e.best is not None else ""))
+        _err(f"budget exceeded: {e}" + (
+            f" (incumbent {e.size}, not exact, after {e.nodes} search nodes)"
+            if e.best is not None else ""))
         return 4
     except CacError as e:
         _err(f"{type(e).__name__}: {e}")

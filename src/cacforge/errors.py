@@ -95,11 +95,12 @@ class BudgetExceeded(CacError):
     """Search or enumeration ran out of budget.
 
     best carries the incumbent (a lower bound, never exact) when the
-    search got far enough to have one.
+    search got far enough to have one; nodes counts the search nodes spent.
     """
 
-    def __init__(self, message, best=None, size=0):
+    def __init__(self, message, best=None, size=0, nodes=0):
         super().__init__(message)
         self.best = best
         self.size = size
+        self.nodes = nodes
         self.exact = False

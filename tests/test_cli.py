@@ -150,6 +150,26 @@ def test_search_budget_exit(capsys):
     assert "incumbent" in err
 
 
+def test_search_reports_nodes(capsys):
+    rc, out, _ = run(capsys, "search", "193", "4", "--cap", "200")
+    assert rc == 0
+    assert out.rstrip().endswith("search nodes")
+    rc, _, err = run(capsys, "search", "199", "3", "--budget", "5")
+    assert rc == 4
+    assert "after 5 search nodes" in err
+
+
+def test_search_bad_witness_exit(capsys, monkeypatch):
+    import cacforge.oracle as oracle
+
+    g = oracle.build_graph(13, 3)
+    j = next(j for j in range(1, len(g.vertices)) if not g.adjacency[0] >> j & 1)
+    monkeypatch.setattr(oracle, "_max_clique", lambda adj, orbits, budget: (2, [0, j], 1))
+    rc, _, err = run(capsys, "search", "13", "3")
+    assert rc == 3
+    assert "NotACac" in err
+
+
 def test_simulate(tmp_path, capsys):
     sc = tmp_path / "scenario.json"
     sc.write_text(json.dumps({

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
+
 import pytest
 
+import cacforge
 from cacforge.bounds import new_bound
 from cacforge.codes import Code, verify_cac
 from cacforge.constructions import construct_lemma1
@@ -86,12 +93,94 @@ def test_oracle_node_budget_carries_incumbent():
 
 
 def test_oracle_671_11_exact():
-    # 331 distinct difference sets; completes in a few seconds and nails
-    # down the true maximum, which the analytic bound (floor 34) overshoots
+    # 331 distinct difference sets in 3 unit orbits; the search nails down
+    # the true maximum, which the analytic bound (floor 34) overshoots
     res = max_equi_diff_cac(671, 11, budget=40_000_000, cap=700)
     assert res.exact
     assert res.size == 32
     assert new_bound(671, 11).floor_value == 34
+
+
+def test_oracle_671_11_node_count():
+    # machine-independent cost pin: 107,709 nodes without symmetry breaking
+    assert max_equi_diff_cac(671, 11, budget=40_000_000, cap=700).nodes < 60_000
+
+
+def test_oracle_budget_reports_nodes():
+    with pytest.raises(BudgetExceeded) as ei:
+        max_equi_diff_cac(199, 3, budget=5)
+    assert ei.value.nodes == 5
+
+
+def _difference_sets(L, w):
+    # D(g) = {k g mod L : 0 < |k| < w}, computed apart from cacforge
+    out = set()
+    for g in range(1, L):
+        if L // gcd(L, g) >= w:
+            out.add(frozenset(k * g % L for k in range(1 - w, w) if k))
+    return list(out)
+
+
+def test_oracle_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for w in (3, 4, 5):
+        for L in range(w, 46):
+            sets = _difference_sets(L, w)
+            G = nx.Graph()
+            G.add_nodes_from(range(len(sets)))
+            G.add_edges_from(
+                (i, j)
+                for i in range(len(sets))
+                for j in range(i + 1, len(sets))
+                if sets[i].isdisjoint(sets[j])
+            )
+            want = len(nx.max_weight_clique(G, weight=None)[0])
+            res = max_equi_diff_cac(L, w)
+            assert res.size == want, (L, w)
+            assert verify_cac(res.witness).ok and len(res.witness) == want
+
+
+@pytest.mark.parametrize("L,w", [(45, 3), (60, 4), (84, 4), (90, 5), (105, 3)])
+def test_unit_orbits_are_gcd_classes(L, w):
+    g = build_graph(L, w)
+    orbits = g.unit_orbits()
+    classes = {}
+    for i, gen in enumerate(g.generators):
+        classes.setdefault(gcd(gen, L), set()).add(i)
+    assert sorted(map(sorted, orbits)) == sorted(map(sorted, classes.values()))
+    assert len(orbits) >= 3
+    # orbits come in vertex order: each starts after the previous one's start
+    assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+    where = {ds: k for k, orbit in enumerate(orbits) for ds in (g.vertices[i] for i in orbit)}
+    for u in range(1, L):
+        if gcd(u, L) != 1:
+            continue
+        for ds, k in where.items():
+            assert where[frozenset(u * x % L for x in ds)] == k
+
+
+def test_witness_check_survives_optimize():
+    # a witness that fails verification must raise NotACac even under -O
+    script = """
+import cacforge.oracle as o
+from cacforge.errors import NotACac
+assert False, "assertions must be off"
+g = o.build_graph(13, 3)
+j = next(j for j in range(1, len(g.vertices)) if not g.adjacency[0] >> j & 1)
+o._max_clique = lambda adj, orbits, budget: (2, [0, j], 1)
+try:
+    o.max_equi_diff_cac(13, 3)
+except NotACac as e:
+    print("NotACac", e.report.ok)
+"""
+    src = str(Path(cacforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "NotACac False"
 
 
 def test_certify_fills_oracle_fields():

@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import comb
 
 from .codes import Code, EquiDiffCodeword, code_from_json, support, verify_cac
-from .errors import BudgetExceeded, DuplicateAssignment, NotACac
+from .errors import BudgetExceeded, DuplicateAssignment, NotACac, ParseError
 
 EXHAUSTIVE_BUDGET = 5_000_000
 
@@ -37,17 +37,12 @@ class ProtocolSequence:
 
 
 def to_protocol_sequence(cw: EquiDiffCodeword) -> ProtocolSequence:
-    mask = 0
-    for t in support(cw):
-        mask |= 1 << t
-    return ProtocolSequence(cw.length, mask, cw.weight)
+    return ProtocolSequence(cw.length, sum(1 << t for t in support(cw)), cw.weight)
 
 
 def _rot(mask: int, d: int, L: int, full: int) -> int:
     # new[t] = old[(t + d) mod L]
     d %= L
-    if d == 0:
-        return mask
     return ((mask >> d) | (mask << (L - d))) & full
 
 
@@ -84,24 +79,32 @@ class SimReport:
 
 
 def scenario_from_json(obj: dict) -> Scenario:
-    return Scenario(
-        code=code_from_json(obj["code"]),
-        active=tuple((int(e["idx"]), int(e["delay"])) for e in obj.get("active", [])),
-        seed=int(obj.get("seed", 0)),
-        trials=int(obj.get("trials", 0)),
-    )
+    try:
+        sc = Scenario(
+            code=code_from_json(obj["code"]),
+            active=tuple((int(e["idx"]), int(e["delay"])) for e in obj.get("active", [])),
+            seed=int(obj.get("seed", 0)),
+            trials=int(obj.get("trials", 0)),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"malformed scenario ({type(e).__name__}: {e})") from e
+    if sc.trials < 0:
+        raise ParseError(f"trials must be >= 0, got {sc.trials}")
+    return sc
 
 
-def _run_once(on_air: list[int], full: int) -> list[int]:
-    # success slots of user i: own ones minus every other user's ones
-    k = len(on_air)
-    pre = [0] * (k + 1)
-    suf = [0] * (k + 1)
-    for i in range(k):
-        pre[i + 1] = pre[i] | on_air[i]
-    for i in range(k - 1, -1, -1):
-        suf[i] = suf[i + 1] | on_air[i]
-    return [(on_air[i] & ~(pre[i] | suf[i + 1]) & full).bit_count() for i in range(k)]
+def _alone(on_air: list[int]) -> tuple[int, int]:
+    # (slots anyone transmits in, slots exactly one user transmits in)
+    once = twice = 0
+    for m in on_air:
+        twice |= once & m
+        once |= m
+    return once, once & ~twice
+
+
+def _run_once(on_air: list[int]) -> list[int]:
+    alone = _alone(on_air)[1]
+    return [(m & alone).bit_count() for m in on_air]
 
 
 def simulate(sc: Scenario) -> SimReport:
@@ -116,9 +119,7 @@ def simulate(sc: Scenario) -> SimReport:
     code = sc.code
     report = verify_cac(code)
     if not report.ok:
-        raise NotACac(
-            f"difference {report.witness} shared by codewords {report.pair}", report
-        )
+        raise NotACac(f"difference {report.witness} shared by codewords {report.pair}", report)
     L = code.length
     full = (1 << L) - 1
     masks = [to_protocol_sequence(cw).mask for cw in code.codewords]
@@ -130,8 +131,7 @@ def simulate(sc: Scenario) -> SimReport:
         for i in idxs:
             if not 0 <= i < len(code):
                 raise ValueError(f"codeword index {i} out of range")
-        on_air = [_rot(masks[i], -d, L, full) for i, d in sc.active]
-        counts = _run_once(on_air, full)
+        counts = _run_once([_rot(masks[i], -d, L, full) for i, d in sc.active])
         per_user = {i: c for (i, _), c in zip(sc.active, counts)}
         violations = []
         if 0 in counts:
@@ -146,8 +146,7 @@ def simulate(sc: Scenario) -> SimReport:
         k = rng.randint(1, min(code.weight, n))
         chosen = rng.sample(range(n), k)
         active = [(i, rng.randrange(L)) for i in chosen]
-        on_air = [_rot(masks[i], -d, L, full) for i, d in active]
-        counts = _run_once(on_air, full)
+        counts = _run_once([_rot(masks[i], -d, L, full) for i, d in active])
         for (i, _), c in zip(active, counts):
             per_user[i] += c
         if 0 in counts:
@@ -165,45 +164,45 @@ def verify_irrepressibility_exhaustive(
     enumeration size is C(|code|, k) * L^(k-1); anything above budget
     raises BudgetExceeded. No CAC precondition: the point is to observe
     guarantee failures on corrupted codes too.
+
+    The last user's L delays are tested at once, as one L-bit mask of the
+    delays at which somebody is left without a clean slot.
     """
     if not 1 <= k <= code.weight:
         raise ValueError(f"k must be in 1..w = {code.weight}, got {k}")
-    n = len(code)
-    L = code.length
+    n, L = len(code), code.length
     total = comb(n, k) * L ** (k - 1)
     if total > budget:
         raise BudgetExceeded(f"{total} combinations exceed budget {budget}")
-    full = (1 << L) - 1
     masks = [to_protocol_sequence(cw).mask for cw in code.codewords]
-    rot = [[_rot(m, -d, L, full) for d in range(L)] for m in masks]
-
     if k == 1:
         return all(m != 0 for m in masks)
 
-    if k == 3:
-        # hot path: hoist the pairwise terms of users a and b
-        for a, b, c in combinations(range(n), 3):
-            ma = masks[a]
-            rb_all = rot[b]
-            rc_all = rot[c]
-            for rb in rb_all:
-                a_clear_b = ma & ~rb
-                b_clear_a = rb & ~ma
-                ab = ma | rb
-                for rc in rc_all:
-                    if not a_clear_b & ~rc:
-                        return False
-                    if not b_clear_a & ~rc:
-                        return False
-                    if not rc & ~ab:
-                        return False
-        return True
+    full = (1 << L) - 1
+    rot = [[_rot(m, -d, L, full) for d in range(L)] for m in masks]
+    shifts = [support(cw) - {0} for cw in code.codewords]
+    # hit[c][t]: the delays at which user c transmits in slot t
+    mirrored = [sum(1 << -s % L for s in support(cw)) for cw in code.codewords]
+    hit = [[_rot(m, -t, L, full) for t in range(L)] for m in mirrored]
 
-    for combo in combinations(range(n), k):
-        first = masks[combo[0]]
-        tables = [rot[c] for c in combo[1:]]
-        for delays in product(range(L), repeat=k - 1):
-            on_air = [first] + [tables[i][d] for i, d in enumerate(delays)]
-            if 0 in _run_once(on_air, full):
-                return False
+    for placed in combinations(range(n - 1), k - 1):
+        for delays in product(range(L), repeat=k - 2):
+            on_air = [rot[i][d] for i, d in zip(placed, (0,) + delays)]
+            union, alone = _alone(on_air)
+            for c in range(placed[-1] + 1, n):
+                # drowned at d: every slot s + d of c lies in union, so bad needs no cut to L bits
+                bad = union
+                for s in shifts[c]:
+                    bad &= (union >> s) | (union << (L - s))
+                # blanking at d: c covers every clear slot of a placed user
+                for m in on_air:
+                    r = m & alone
+                    blank = full
+                    while r and blank:
+                        low = r & -r
+                        blank &= hit[c][low.bit_length() - 1]
+                        r ^= low
+                    bad |= blank
+                if bad:
+                    return False
     return True

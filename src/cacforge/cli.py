@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bounds import (
@@ -167,13 +168,23 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _non_negative(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
 def cmd_simulate(args) -> int:
-    obj = json.loads(Path(args.file).read_text())
+    sc = scenario_from_json(json.loads(Path(args.file).read_text()))
     if args.seed is not None:
-        obj["seed"] = args.seed
+        sc = replace(sc, seed=args.seed)
     if args.trials is not None:
-        obj["trials"] = args.trials
-    rep = simulate(scenario_from_json(obj))
+        sc = replace(sc, trials=args.trials)
+    rep = simulate(sc)
     if args.json:
         print(json.dumps(rep.to_json(), sort_keys=True))
     else:
@@ -362,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("simulate", help="run a channel scenario JSON file")
     m.add_argument("file")
     m.add_argument("--seed", type=int, help="override the scenario seed")
-    m.add_argument("--trials", type=int, help="override the scenario trial count")
+    m.add_argument("--trials", type=_non_negative, help="override the scenario trial count")
     m.add_argument("--json", action="store_true")
     m.set_defaults(func=cmd_simulate)
 

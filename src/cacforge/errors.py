@@ -91,6 +91,10 @@ class DuplicateAssignment(CacError):
     pass
 
 
+class ParseError(CacError):
+    """An input file is valid JSON but not of the documented shape."""
+
+
 class BudgetExceeded(CacError):
     """Search or enumeration ran out of budget.
 

@@ -80,11 +80,14 @@ def factorize(n: int) -> Factorization:
             e += 1
         if e:
             out.append((p, e))
-    # remaining factors are of the form 6k +- 1
+    # remaining factors are of the form 6k +- 1; m is re-tested for
+    # primality only after a divisor has shrunk it
     d = 5
+    fresh = True
     while d * d <= m:
-        if is_prime(m):
+        if fresh and is_prime(m):
             break
+        fresh = False
         for q in (d, d + 2):
             e = 0
             while m % q == 0:
@@ -92,6 +95,7 @@ def factorize(n: int) -> Factorization:
                 e += 1
             if e:
                 out.append((q, e))
+                fresh = True
         d += 6
     if m > 1:
         out.append((m, 1))

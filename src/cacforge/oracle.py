@@ -247,7 +247,8 @@ def max_general_cac(
 
     Difference sets are translation invariant, so supports are normalized
     to contain 0. Tiny L only; this exists to cross-check that the
-    equi-difference maximum never exceeds the unrestricted one.
+    equi-difference maximum never exceeds the unrestricted one. On a
+    node-budget stop the error's best holds the incumbent's supports.
     """
     if L < w or w < 2:
         raise ValueError(f"need L >= w >= 2, got ({L},{w})")
@@ -261,5 +262,9 @@ def max_general_cac(
             seen[ds] = sup
     items = sorted(seen.items(), key=lambda t: (-len(t[0]), sorted(t[1])))
     adj = _disjointness_rows([ds for ds, _ in items])
-    size, members, _ = _max_clique(adj, [[i] for i in range(len(adj))], budget)
+    try:
+        size, members, _ = _max_clique(adj, [[i] for i in range(len(adj))], budget)
+    except BudgetExceeded as e:
+        e.best = [items[i][1] for i in e.best]
+        raise
     return size, [items[i][1] for i in members]

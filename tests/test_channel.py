@@ -1,17 +1,22 @@
 import json
+from itertools import combinations, product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacforge.channel import (
     EXHAUSTIVE_BUDGET,
     Scenario,
+    _run_once,
     cross_correlation,
     scenario_from_json,
     simulate,
     to_protocol_sequence,
     verify_irrepressibility_exhaustive,
 )
-from cacforge.codes import Code, EquiDiffCodeword
+from cacforge.codes import Code, EquiDiffCodeword, support
 from cacforge.constructions import (
     construct_lemma1,
     construct_theorem2,
@@ -157,3 +162,47 @@ def test_irrepressibility_small_budget_boundary():
     assert verify_irrepressibility_exhaustive(code, 2, budget=9)
     with pytest.raises(BudgetExceeded):
         verify_irrepressibility_exhaustive(code, 2, budget=8)
+
+
+def _irrepressible_by_brute_force(code, k):
+    # every k-subset and every delay tuple, one period each; shifting all
+    # users by the same delay changes no count, so the first delay is 0
+    L = code.length
+    on_air_at = [[sum(1 << (s + d) % L for s in support(cw)) for d in range(L)]
+                 for cw in code.codewords]
+    for users in combinations(range(len(code)), k):
+        for delays in product(range(L), repeat=k - 1):
+            on_air = [on_air_at[u][d] for u, d in zip(users, (0,) + delays)]
+            if 0 in _run_once(on_air):
+                return False
+    return True
+
+
+@st.composite
+def small_codes(draw):
+    w = draw(st.integers(2, 4))
+    L = draw(st.integers(w, 30))
+    valid = [g for g in range(1, L) if L // gcd(L, g) >= w]
+    gens = draw(st.lists(st.sampled_from(valid), min_size=1, max_size=5))
+    return Code.from_generators(L, w, gens)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_codes())
+def test_irrepressibility_matches_brute_force(code):
+    for k in range(1, min(code.weight, len(code)) + 1):
+        expected = _irrepressible_by_brute_force(code, k)
+        assert verify_irrepressibility_exhaustive(code, k) is expected
+
+
+def test_irrepressibility_fails_on_every_clash_copy():
+    # replacing codeword i by 2 g_j shares the differences +-2 g_j with j
+    code = construct_theorem2(construct_lemma1(5, 3), construct_lemma1(13, 3)).code
+    assert verify_irrepressibility_exhaustive(code, 3)
+    gens = code.generators
+    for i, j in product(range(len(gens)), repeat=2):
+        if i != j:
+            clash = list(gens)
+            clash[i] = 2 * gens[j] % code.length
+            bad = Code.from_generators(code.length, code.weight, clash)
+            assert not verify_irrepressibility_exhaustive(bad, 3), (i, j)

@@ -192,6 +192,41 @@ def test_simulate(tmp_path, capsys):
     assert obj["violations"] == []
 
 
+_CODE_9_3 = {"L": 9, "w": 3, "generators": [1, 3]}
+
+
+@pytest.mark.parametrize("scenario", [
+    {"code": _CODE_9_3, "active": [{"idx": 0}]},
+    {"code": _CODE_9_3, "active": [{"delay": 0}]},
+    {"code": _CODE_9_3, "active": [{"idx": 0, "delay": "x"}]},
+    {"code": _CODE_9_3, "active": [3]},
+    {"code": _CODE_9_3, "trials": -5},
+    {"code": {"L": 9, "w": 3}},
+    {"active": []},
+    [_CODE_9_3],
+], ids=["no-delay", "no-idx", "bad-delay", "entry-not-object", "negative-trials",
+        "no-generators", "no-code", "not-an-object"])
+def test_simulate_malformed_scenario(tmp_path, capsys, scenario):
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(scenario))
+    rc, out, err = run(capsys, "simulate", str(sc))
+    assert rc == 3
+    assert "ParseError" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("trials", ["-5", "x"])
+def test_simulate_rejects_bad_trials_override(tmp_path, capsys, trials):
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps({"code": _CODE_9_3}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(sc), "--trials", trials])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--trials" in err
+    assert "Traceback" not in err
+
+
 def test_catalog_flow(tmp_path, capsys, monkeypatch):
     cat = tmp_path / "cat.jsonl"
     cert_file = tmp_path / "c13.json"

@@ -62,6 +62,39 @@ def test_factorize_random_roundtrip(rng):
         assert prod == n
 
 
+def _trial_division(n):
+    out = []
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def test_factorize_matches_trial_division():
+    for n in range(1, 20_000):
+        assert factorize(n).factors == _trial_division(n), n
+
+
+def test_factorize_retests_primality_only_after_a_division(monkeypatch):
+    import cacforge.numtheory as nt
+
+    calls = []
+    real = nt.is_prime
+    monkeypatch.setattr(nt, "is_prime", lambda n: calls.append(n) or real(n))
+    # 10007 * 10009: one test before the loop, none while d climbs to
+    # 10007, then two from Factorization's own validation
+    assert nt.factorize(10007 * 10009).factors == ((10007, 1), (10009, 1))
+    assert calls == [10007 * 10009, 10007, 10009]
+
+
 def test_divisors():
     assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
     assert divisors(1) == [1]

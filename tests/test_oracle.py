@@ -201,6 +201,22 @@ def test_max_general_cac_pins():
     assert max_general_cac(15, 3)[0] == 4
 
 
+def test_max_general_cac_budget_carries_supports():
+    w = 3
+    with pytest.raises(BudgetExceeded) as exc:
+        max_general_cac(30, w, budget=1)
+    best = exc.value.best
+    assert len(best) == exc.value.size > 0
+    diffs = []
+    for sup in best:
+        assert 0 in sup and len(sup) == w
+        assert all(0 <= x < 30 for x in sup)
+        diffs.append({(a - b) % 30 for a in sup for b in sup if a != b})
+    for i in range(len(diffs)):
+        for j in range(i):
+            assert not diffs[i] & diffs[j]
+
+
 def test_max_general_cac_cap():
     with pytest.raises(BudgetExceeded):
         max_general_cac(41, 3)

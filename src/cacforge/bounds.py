@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, gcd
 
-from .errors import UnsupportedWeight
+from .errors import InconsistentClaim, UnsupportedWeight
 from .numtheory import factorize, is_prime
 
 
@@ -36,8 +36,8 @@ def omega_star(L: int, w: int) -> tuple[int, ...]:
         for p in om
         if is_prime(p) or all(p <= q for q in om if q != p and gcd(p, q) != 1)
     )
-    for a, b in combinations(out, 2):
-        assert gcd(a, b) == 1, f"omega_star not pairwise coprime at ({L},{w})"
+    if any(gcd(a, b) != 1 for a, b in combinations(out, 2)):
+        raise InconsistentClaim(f"omega_star not pairwise coprime at ({L},{w})")
     return out
 
 
@@ -53,7 +53,9 @@ class BoundReport:
     floor_value: int
 
     def __post_init__(self):
-        assert self.floor_value == self.raw_numerator // self.denominator
+        if self.floor_value != self.raw_numerator // self.denominator:
+            raise InconsistentClaim(
+                f"floor {self.floor_value} is not floor({self.raw_numerator}/{self.denominator})")
 
     @property
     def as_fraction(self) -> Fraction:
@@ -115,6 +117,19 @@ def prime_divisor_bound(L: int, w: int) -> tuple[Fraction, int]:
     return value, value.numerator // value.denominator
 
 
+def _best_coprime_subset(pool, gain) -> tuple[int, tuple[int, ...]]:
+    """Max (at least 0) of sum(gain(x)) over pairwise-coprime subsets of pool,
+    with the first subset reaching it by size, then combinations order."""
+    best, best_set = 0, ()
+    for r in range(1, len(pool) + 1):
+        for sub in combinations(pool, r):
+            if all(gcd(a, b) == 1 for a, b in combinations(sub, 2)):
+                val = sum(map(gain, sub))
+                if val > best:
+                    best, best_set = val, sub
+    return best, best_set
+
+
 def _subset_pool(L: int, w: int) -> list[int]:
     # x qualifies when x | L and the subgroup <L/x> wastes few enough differences
     return [
@@ -133,14 +148,9 @@ def subset_excess_bound(L: int, w: int) -> tuple[Fraction, int, tuple[int, ...]]
     """
     if L < w or w < 2:
         raise ValueError("need L >= w >= 2")
-    pool = _subset_pool(L, w)
-    best, best_set = 0, ()
-    for r in range(1, len(pool) + 1):
-        for sub in combinations(pool, r):
-            if all(gcd(a, b) == 1 for a, b in combinations(sub, 2)):
-                val = sum(x - 1 - 2 * x * ceil(w / x) + 2 * w for x in sub)
-                if val > best:
-                    best, best_set = val, sub
+    best, best_set = _best_coprime_subset(
+        _subset_pool(L, w), lambda x: x - 1 - 2 * x * ceil(w / x) + 2 * w
+    )
     value = Fraction(L - 1 + best, 2 * w - 2)
     return value, value.numerator // value.denominator, best_set
 
@@ -153,10 +163,4 @@ def coprime_excess_exact(L: int, w: int) -> int:
     itself dropped), so callers comparing them must treat this one as the
     ground truth refund.
     """
-    om = omega(L, w)
-    best = 0
-    for r in range(1, len(om) + 1):
-        for sub in combinations(om, r):
-            if all(gcd(a, b) == 1 for a, b in combinations(sub, 2)):
-                best = max(best, sum(2 * w - 1 - p for p in sub))
-    return best
+    return _best_coprime_subset(omega(L, w), lambda p: 2 * w - 1 - p)[0]

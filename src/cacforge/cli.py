@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage, 3 verification or construction failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .constructions import (
     construct_theorem2,
     construct_two_prime,
 )
-from .errors import BudgetExceeded, CacError, UnsupportedWeight
+from .errors import BudgetExceeded, CacError, ParseError, UnsupportedWeight
 from .oracle import DEFAULT_NODE_BUDGET, max_equi_diff_cac
 
 
@@ -90,31 +91,31 @@ def _load_certificate(path: str) -> Certificate:
     return Certificate.from_json(json.loads(Path(path).read_text()))
 
 
+_CONSTRUCT_NEEDS = {
+    "lemma1": ("p", "w"),
+    "theorem1": ("p", "w", "m", "s"),
+    "theorem2": ("cert1", "cert2"),
+    "two-prime": ("p", "q", "w"),
+}
+
+
 def cmd_construct(args) -> int:
     method = args.method
+    flags = [f"--{name}" for name in _CONSTRUCT_NEEDS[method]]
+    if any(getattr(args, name) in (None, "") for name in _CONSTRUCT_NEEDS[method]):
+        _err(f"construct {method} requires {', '.join(flags[:-1])} and {flags[-1]}")
+        return 2
     if method == "lemma1":
-        if args.p is None or args.w is None:
-            _err("construct lemma1 requires --p and --w")
-            return 2
         cert = construct_lemma1(args.p, args.w, args.alpha)
     elif method == "theorem1":
-        if None in (args.p, args.w, args.m, args.s):
-            _err("construct theorem1 requires --p, --w, --m and --s")
-            return 2
         cert = construct_theorem1(
             Theorem1Params(args.p, args.w, args.m, args.s, args.alpha)
         )
     elif method == "theorem2":
-        if not args.cert1 or not args.cert2:
-            _err("construct theorem2 requires --cert1 and --cert2")
-            return 2
         cert = construct_theorem2(
             _load_certificate(args.cert1), _load_certificate(args.cert2)
         )
     else:  # two-prime
-        if None in (args.p, args.q, args.w):
-            _err("construct two-prime requires --p, --q and --w")
-            return 2
         cert = construct_two_prime(args.p, args.q, args.w)
     text = json.dumps(cert.to_json(), indent=2, sort_keys=True)
     if args.out:
@@ -128,7 +129,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     obj = json.loads(Path(args.file).read_text())
-    if "code" in obj and "generators" not in obj:
+    if isinstance(obj, dict) and "code" in obj and "generators" not in obj:
         obj = obj["code"]
     code = code_from_json(obj)
     report = verify_cac(code)
@@ -202,38 +203,25 @@ def _catalog_path(args) -> str:
 
 def _normalize_entry(obj: dict) -> dict:
     """Accept native catalog entries, oracle results, or certificates."""
-    if "best_size" in obj:
-        return {
-            "L": int(obj["L"]),
-            "w": int(obj["w"]),
-            "best_size": int(obj["best_size"]),
-            "source": str(obj.get("source", "unknown")),
-            "exact": bool(obj.get("exact", False)),
-            "generators": [int(g) for g in obj.get("generators", [])],
-        }
-    if "max" in obj and "witness" in obj:
-        return {
-            "L": int(obj["L"]),
-            "w": int(obj["w"]),
-            "best_size": int(obj["max"]),
-            "source": "oracle",
-            "exact": bool(obj.get("exact", False)),
-            "generators": [int(g) for g in obj["witness"]],
-        }
-    if "code" in obj:
-        code = obj["code"]
-        flags = obj.get("flags", {})
-        return {
-            "L": int(code["L"]),
-            "w": int(code["w"]),
-            "best_size": len(code["generators"]),
-            "source": str(obj.get("params", {}).get("method", "certificate")),
-            "exact": bool(
-                flags.get("optimal_by_bound") or flags.get("optimal_by_oracle")
-            ),
-            "generators": [int(g) for g in code["generators"]],
-        }
-    raise CacError("unrecognized catalog entry shape")
+    try:
+        if "best_size" in obj:
+            L, w, size, gens = obj["L"], obj["w"], obj["best_size"], obj.get("generators", [])
+            source, exact = obj.get("source", "unknown"), obj.get("exact", False)
+        elif "max" in obj and "witness" in obj:
+            L, w, size, gens = obj["L"], obj["w"], obj["max"], obj["witness"]
+            source, exact = "oracle", obj.get("exact", False)
+        elif "code" in obj:
+            code, flags = obj["code"], obj.get("flags", {})
+            L, w, gens = code["L"], code["w"], code["generators"]
+            size = len(gens)
+            source = obj.get("params", {}).get("method", "certificate")
+            exact = flags.get("optimal_by_bound") or flags.get("optimal_by_oracle")
+        else:
+            raise ParseError("unrecognized catalog entry shape")
+        return {"L": int(L), "w": int(w), "best_size": int(size), "source": str(source),
+                "exact": bool(exact), "generators": [int(g) for g in gens]}
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ParseError(f"malformed catalog entry ({type(e).__name__}: {e})") from e
 
 
 def _load_catalog(path: str) -> dict:
@@ -256,10 +244,36 @@ def _load_catalog(path: str) -> dict:
 
 
 def _write_catalog(path: str, entries: dict) -> None:
+    """Write a sibling temp file, then rename it over path in one step."""
     lines = [
         json.dumps(entries[key], sort_keys=True) for key in sorted(entries)
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _integrity_error(entries: dict) -> str | None:
+    """The first entry whose size beats the bound or whose generators do not certify it."""
+    for (L, w), entry in sorted(entries.items()):
+        floor = new_bound(L, w).floor_value
+        if entry["best_size"] > floor:
+            return (f"integrity error: ({L},{w}) best_size {entry['best_size']} "
+                    f"exceeds bound floor {floor}")
+        if entry["generators"]:
+            try:
+                code = Code.from_generators(L, w, entry["generators"])
+                ok = verify_cac(code).ok and len(code) == entry["best_size"]
+            except CacError:
+                ok = False
+            if not ok:
+                return (f"integrity error: ({L},{w}) stored generators do not "
+                        f"certify best_size {entry['best_size']}")
+    return None
 
 
 def cmd_catalog(args) -> int:
@@ -283,11 +297,10 @@ def cmd_catalog(args) -> int:
             if better:
                 entries[key] = entry
                 changed += 1
-        for (L, w), entry in entries.items():
-            if entry["best_size"] > new_bound(L, w).floor_value:
-                _err(f"integrity error: ({L},{w}) best_size {entry['best_size']} "
-                     f"exceeds bound floor {new_bound(L, w).floor_value}")
-                return 3
+        error = _integrity_error(entries)
+        if error:
+            _err(error)
+            return 3
         _write_catalog(path, entries)
         print(f"catalog {path}: {len(entries)} entries ({changed} updated)")
         return 0
@@ -307,26 +320,15 @@ def cmd_catalog(args) -> int:
                 )
         return 0
     # check
-    for (L, w), entry in sorted(entries.items()):
-        floor = new_bound(L, w).floor_value
-        if entry["best_size"] > floor:
-            _err(f"integrity error: ({L},{w}) best_size {entry['best_size']} "
-                 f"exceeds bound floor {floor}")
-            return 3
-        if entry["generators"]:
-            try:
-                code = Code.from_generators(L, w, entry["generators"])
-                ok = verify_cac(code).ok and len(code) == entry["best_size"]
-            except CacError:
-                ok = False
-            if not ok:
-                _err(f"integrity error: ({L},{w}) stored generators do not "
-                     f"certify best_size {entry['best_size']}")
-                return 3
+    error = _integrity_error(entries)
+    if error:
+        _err(error)
+        return 3
     print(f"catalog {path}: ok, {len(entries)} entries")
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cacforge",
@@ -402,10 +404,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as e:
         _err(f"parse error at line {e.lineno} column {e.colno}: {e.msg}")
         return 3
-    except OSError as e:
-        _err(str(e))
-        return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         _err(str(e))
         return 2
 

@@ -18,6 +18,7 @@ from .errors import (
     HeterogeneousCode,
     NotACac,
     NotExceptional,
+    ParseError,
 )
 
 
@@ -169,7 +170,11 @@ def code_to_json(code: Code) -> dict:
 
 
 def code_from_json(obj: dict) -> Code:
-    return Code.from_generators(int(obj["L"]), int(obj["w"]), [int(g) for g in obj["generators"]])
+    try:
+        return Code.from_generators(
+            int(obj["L"]), int(obj["w"]), [int(g) for g in obj["generators"]])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"malformed code ({type(e).__name__}: {e})") from e
 
 
 @dataclass(frozen=True)
@@ -213,16 +218,19 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
-        f = obj["flags"]
-        return cls(
-            code=code_from_json(obj["code"]),
-            bound=BoundReport.from_json(obj["bound"]),
-            flags=CertFlags(
-                bool(f["verified_cac"]),
-                bool(f["tight"]),
-                bool(f["optimal_by_bound"]),
-                f.get("optimal_by_oracle"),
-            ),
-            params=dict(obj.get("params", {})),
-            oracle_max=obj.get("oracle_max"),
-        )
+        try:
+            f = obj["flags"]
+            return cls(
+                code=code_from_json(obj["code"]),
+                bound=BoundReport.from_json(obj["bound"]),
+                flags=CertFlags(
+                    bool(f["verified_cac"]),
+                    bool(f["tight"]),
+                    bool(f["optimal_by_bound"]),
+                    f.get("optimal_by_oracle"),
+                ),
+                params=dict(obj.get("params", {})),
+                oracle_max=obj.get("oracle_max"),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise ParseError(f"malformed certificate ({type(e).__name__}: {e})") from e

@@ -22,6 +22,7 @@ from .bounds import new_bound
 from .codes import Certificate, CertFlags, Code, is_tight, verify_cac
 from .errors import (
     ConditionNotSatisfied,
+    InconsistentClaim,
     InputNotOptimal,
     InputNotTight,
     LengthsNotCoprimePrimes,
@@ -35,10 +36,12 @@ from .numtheory import (
     cosets,
     cyclic_subgroup,
     divisors,
+    factorize,
     is_prime,
     is_sdr,
     multiplicative_order,
     primitive_root,
+    sdr_offender,
     unit_group,
     CyclicSubgroup,
 )
@@ -78,19 +81,6 @@ def _resolve_alpha(p: int, alpha: int | None) -> int:
     return alpha
 
 
-def _sdr_offender(reps, partition):
-    counts = [0] * len(partition)
-    for r in reps:
-        for i, c in enumerate(partition):
-            if r in c:
-                counts[i] += 1
-                break
-    for i, n in enumerate(counts):
-        if n != 1:
-            return partition[i]
-    return None
-
-
 def _certificate(code: Code, params: dict) -> Certificate:
     report = verify_cac(code)
     if not report.ok:
@@ -108,6 +98,12 @@ def _certificate(code: Code, params: dict) -> Certificate:
     return Certificate(code, br, flags, params)
 
 
+def _optimal_tight(cert: Certificate) -> Certificate:
+    if not (cert.flags.tight and cert.flags.optimal_by_bound):
+        raise InconsistentClaim(f"{len(cert.code)} codewords, not tight and optimal by bound")
+    return cert
+
+
 def construct_lemma1(p: int, w: int, alpha: int | None = None) -> Certificate:
     """Prime p = 2(w-1)m + 1; codewords generated by the powers of alpha^(w-1).
 
@@ -121,19 +117,8 @@ def construct_lemma1(p: int, w: int, alpha: int | None = None) -> Certificate:
         raise ParamMismatch(f"p = {p} is not of the form 2(w-1)m + 1 for w = {w}")
     m = (p - 1) // (2 * w - 2)
     alpha = _resolve_alpha(p, alpha)
-    g = pow(alpha, w - 1, p)
-    N = cyclic_subgroup(g, p)  # order 2m
-    part = cosets(N, unit_group(p))
-    reps = tuple(range(1, w))
-    if not is_sdr(reps, part):
-        raise SdrConditionFailed(
-            f"1..{w - 1} is not an SDR of the cosets of <{g}> in Z_{p}^x",
-            coset=_sdr_offender(reps, part),
-        )
-    gens = [pow(g, j, p) for j in range(m)]
-    code = Code.from_generators(p, w, gens)
-    return _certificate(
-        code, {"method": "lemma1", "p": p, "w": w, "m": m, "alpha": alpha}
+    return _prime_length_code(
+        p, w, m, 1, alpha, {"method": "lemma1", "p": p, "w": w, "m": m, "alpha": alpha}
     )
 
 
@@ -152,23 +137,28 @@ def construct_theorem1(params: Theorem1Params) -> Certificate:
     if p != 2 * (w - 1) * m * s + 1:
         raise ParamMismatch(f"p = {p} but 2(w-1)ms + 1 = {2 * (w - 1) * m * s + 1}")
     alpha = _resolve_alpha(p, params.alpha)
+    return _prime_length_code(
+        p, w, m, s, alpha,
+        {"method": "theorem1", "p": p, "w": w, "m": m, "s": s, "alpha": alpha},
+    )
+
+
+def _prime_length_code(p: int, w: int, m: int, s: int, alpha: int, params: dict) -> Certificate:
+    """The code of theorem 1 (lemma 1 when s = 1) for validated parameters."""
     H = cyclic_subgroup(pow(alpha, s, p), p)
     N1 = cyclic_subgroup(pow(alpha, s * (w - 1), p), p)
-    assert H.order == 2 * m * (w - 1) and N1.order == 2 * m
-    part = cosets(N1, H.elements)
-    reps = tuple(range(1, w))
-    if not is_sdr(reps, part):
+    if H.order != 2 * m * (w - 1) or N1.order != 2 * m:
+        raise InconsistentClaim(f"subgroup orders {H.order}, {N1.order} for p = {p}")
+    offender = sdr_offender(range(1, w), cosets(N1, H.elements))
+    if offender is not None:
         raise SdrConditionFailed(
-            f"1..{w - 1} is not an SDR of the cosets of N1 in H for p = {p}",
-            coset=_sdr_offender(reps, part),
+            f"1..{w - 1} is not an SDR of the cosets of <{N1.generator}> in "
+            f"<{H.generator}> mod {p}",
+            coset=offender,
         )
     step = s * (w - 1)
     gens = [pow(alpha, i + step * j, p) for i in range(s) for j in range(m)]
-    code = Code.from_generators(p, w, gens)
-    return _certificate(
-        code,
-        {"method": "theorem1", "p": p, "w": w, "m": m, "s": s, "alpha": alpha},
-    )
+    return _certificate(Code.from_generators(p, w, gens), params)
 
 
 def find_theorem1_params(p: int, w: int) -> list[tuple[int, int, int]]:
@@ -220,9 +210,9 @@ def construct_theorem2(cert1: Certificate, cert2: Certificate) -> Certificate:
     gens = [(g + i * p1) % L for g in code1.generators for i in range(p2)]
     gens += [b * p1 for b in code2.generators]
     code = Code.from_generators(L, w, gens)
-    cert = _certificate(code, {"method": "theorem2", "p1": p1, "p2": p2, "w": w})
-    assert cert.flags.tight and cert.flags.optimal_by_bound
-    return cert
+    return _optimal_tight(
+        _certificate(code, {"method": "theorem2", "p1": p1, "p2": p2, "w": w})
+    )
 
 
 def check_condition(L: int, w: int, kind: int) -> ConditionWitness | None:
@@ -238,17 +228,16 @@ def check_condition(L: int, w: int, kind: int) -> ConditionWitness | None:
     if w < 2 or L < 2:
         raise ValueError(f"need L >= 2 and w >= 2, got ({L},{w})")
     units = unit_group(L)
-    phi = len(units)
     slots = (w - 1) if kind == 1 else 2 * (w - 1)
-    if phi % slots:
+    if len(units) % slots:
         return None
-    target = phi // slots
-    if kind == 1:
-        reps = tuple(range(1, w))
-    else:
-        reps = tuple(v for j in range(1, w) for v in (j, L - j))
+    # a has order target iff a^target = 1 and no a^(target/q) = 1, q prime
+    target = len(units) // slots
+    primes = factorize(target).primes
+    reps = tuple(range(1, w)) if kind == 1 else tuple(
+        v for j in range(1, w) for v in (j, L - j))
     for a in sorted(units):
-        if multiplicative_order(a, L) != target:
+        if pow(a, target, L) != 1 or any(pow(a, target // q, L) == 1 for q in primes):
             continue
         H = cyclic_subgroup(a, L)
         if ((L - 1) in H.elements) != (kind == 1):
@@ -274,39 +263,21 @@ def construct_two_prime(p: int, q: int, w: int) -> Certificate:
     f = (q - 1) // (2 * w - 2)
     L = p * q
 
-    wit_L = check_condition(L, w, 1) or check_condition(L, w, 2)
-    if wit_L is None:
-        raise ConditionNotSatisfied(
-            f"Z_{L}^x admits no qualifying cyclic subgroup", modulus=L
-        )
-    wit_q = check_condition(q, w, 1) or check_condition(q, w, 2)
-    if wit_q is None:
-        raise ConditionNotSatisfied(
-            f"Z_{q}^x admits no qualifying cyclic subgroup", modulus=q
-        )
-
+    params = {"method": "two_prime", "p": p, "q": q, "w": w, "f": f}
     # condition 1 halves the enumeration: alpha^s = -1 mirrors the family
-    a = wit_L.H.generator
-    count_L = wit_L.H.order // 2 if wit_L.kind == 1 else wit_L.H.order
-    gens = [pow(a, i, L) for i in range(count_L)]
-    b = wit_q.H.generator
-    count_q = wit_q.H.order // 2 if wit_q.kind == 1 else wit_q.H.order
-    gens += [p * pow(b, j, q) for j in range(count_q)]
+    gens = []
+    for name, n, scale in (("L", L, 1), ("q", q, p)):
+        wit = check_condition(n, w, 1) or check_condition(n, w, 2)
+        if wit is None:
+            raise ConditionNotSatisfied(
+                f"Z_{n}^x admits no qualifying cyclic subgroup", modulus=n
+            )
+        count = wit.H.order // 2 if wit.kind == 1 else wit.H.order
+        gens += [scale * pow(wit.H.generator, i, n) for i in range(count)]
+        params[f"condition_{name}"] = wit.to_json()
     gens.append(q)
 
     code = Code.from_generators(L, w, gens)
-    cert = _certificate(
-        code,
-        {
-            "method": "two_prime",
-            "p": p,
-            "q": q,
-            "w": w,
-            "f": f,
-            "condition_L": wit_L.to_json(),
-            "condition_q": wit_q.to_json(),
-        },
-    )
-    assert len(code) == p * f + 1 == cert.bound.floor_value
-    assert cert.flags.tight and cert.flags.optimal_by_bound
-    return cert
+    if len(code) != p * f + 1:
+        raise InconsistentClaim(f"{len(code)} codewords, expected pf + 1 = {p * f + 1}")
+    return _optimal_tight(_certificate(code, params))

@@ -75,6 +75,10 @@ class ConditionNotSatisfied(CacError):
         self.modulus = modulus
 
 
+class InconsistentClaim(CacError):
+    """A stated or derived value disagrees with its recomputation."""
+
+
 class InputNotTight(CacError):
     pass
 

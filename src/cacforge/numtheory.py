@@ -198,16 +198,24 @@ def cosets(H: CyclicSubgroup, G_elements: frozenset[int]) -> list[frozenset[int]
     return out
 
 
-def is_sdr(reps, coset_partition) -> bool:
-    """True iff reps hit each coset exactly once (counting multiplicity)."""
-    if len(reps) != len(coset_partition):
-        return False
+def sdr_offender(reps, coset_partition) -> frozenset[int] | None:
+    """The first coset that reps hit zero or several times; None iff reps are an SDR.
+
+    A representative outside every coset also fails: once each coset is
+    hit exactly once, any further (stray) reps make the empty set the offender.
+    """
     counts = [0] * len(coset_partition)
     for r in reps:
         for i, c in enumerate(coset_partition):
             if r in c:
                 counts[i] += 1
                 break
-        else:
-            return False
-    return all(c == 1 for c in counts)
+    for c, n in zip(coset_partition, counts):
+        if n != 1:
+            return c
+    return None if len(reps) == len(coset_partition) else frozenset()
+
+
+def is_sdr(reps, coset_partition) -> bool:
+    """True iff reps hit each coset exactly once (counting multiplicity)."""
+    return sdr_offender(reps, coset_partition) is None

@@ -14,7 +14,7 @@ from cacforge.bounds import (
     prime_divisor_bound,
     subset_excess_bound,
 )
-from cacforge.errors import UnsupportedWeight
+from cacforge.errors import InconsistentClaim, UnsupportedWeight
 
 
 def test_omega():
@@ -73,6 +73,9 @@ def test_bound_report_json_roundtrip():
     r = new_bound(252, 8)
     back = BoundReport.from_json(json.loads(json.dumps(r.to_json())))
     assert back == r
+    edited = dict(r.to_json(), floor=99)
+    with pytest.raises(InconsistentClaim):
+        BoundReport.from_json(edited)
 
 
 def test_corollary1():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cacforge.cli import main
+import cacforge
+from cacforge.cli import _build_parser, main
 from cacforge.codes import Certificate
 
 
@@ -40,6 +45,22 @@ def test_bound_all(capsys):
     assert obj["new"]["floor"] == 18
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert _build_parser() is _build_parser()
+    rc, out, _ = run(capsys, "bound", "13", "3", "--json")
+    assert rc == 0
+    assert json.loads(out)["floor"] == 3
+    rc, out, _ = run(capsys, "bound", "13", "3")
+    assert rc == 0
+    assert out.startswith("new bound for (L=13, w=3)")
+    rc, out, _ = run(capsys, "search", "15", "3")
+    assert rc == 0
+    assert "M^e(15,3) = 4" in out
+    rc, out, _ = run(capsys, "bound", "36", "4", "--all")
+    assert rc == 0
+    assert "subset-excess" in out and not out.startswith("{")
+
+
 def test_bound_usage_errors(capsys):
     with pytest.raises(SystemExit):
         main(["bound", "twenty", "3"])
@@ -62,10 +83,13 @@ def test_construct_missing_args(capsys):
     assert "requires --p" in err
     rc, _, err = run(capsys, "construct", "theorem1", "--p", "17", "--w", "3")
     assert rc == 2
+    assert "theorem1 requires --p, --w, --m and --s" in err
     rc, _, err = run(capsys, "construct", "theorem2")
     assert rc == 2
+    assert "theorem2 requires --cert1 and --cert2" in err
     rc, _, err = run(capsys, "construct", "two-prime", "--p", "3", "--w", "3")
     assert rc == 2
+    assert "two-prime requires --p, --q and --w" in err
 
 
 def test_construct_failure_exit(capsys):
@@ -130,6 +154,58 @@ def test_verify_file_errors(tmp_path, capsys):
     assert "parse error" in err
     rc, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert rc == 2
+
+
+@pytest.mark.parametrize("obj", [
+    {"w": 3, "generators": [1, 3]},
+    [{"L": 9, "w": 3, "generators": [1, 3]}],
+    {"L": 9, "w": 3, "generators": ["x"]},
+], ids=["no-L", "a-list", "bad-generator"])
+def test_verify_malformed_code(tmp_path, capsys, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "verify", str(bad))
+    assert rc == 3
+    assert "ParseError" in err
+    assert "Traceback" not in out + err
+
+
+def _theorem2_inputs(tmp_path, capsys):
+    c5, c13 = tmp_path / "c5.json", tmp_path / "c13.json"
+    for p, path in ((5, c5), (13, c13)):
+        rc, _, _ = run(capsys, "construct", "lemma1", "--p", str(p), "--w", "3",
+                       "--out", str(path))
+        assert rc == 0
+    return c5, c13
+
+
+@pytest.mark.parametrize("drop", ["bound", "flags", "code"])
+def test_theorem2_malformed_certificate(tmp_path, capsys, drop):
+    c5, c13 = _theorem2_inputs(tmp_path, capsys)
+    obj = json.loads(c5.read_text())
+    del obj[drop]
+    c5.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "construct", "theorem2", "--cert1", str(c5), "--cert2", str(c13))
+    assert rc == 3
+    assert "ParseError" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "python-O"])
+def test_theorem2_rejects_edited_floor(tmp_path, capsys, optimize):
+    c5, c13 = _theorem2_inputs(tmp_path, capsys)
+    obj = json.loads(c5.read_text())
+    obj["bound"]["floor"] = 99
+    c5.write_text(json.dumps(obj))
+    src = str(Path(cacforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, *(["-O"] if optimize else []), "-m", "cacforge.cli",
+           "construct", "theorem2", "--cert1", str(c5), "--cert2", str(c13)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert "InconsistentClaim" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_search(capsys):
@@ -286,6 +362,23 @@ def test_catalog_rejects_unknown_shape(tmp_path, capsys):
     assert "unrecognized catalog entry shape" in err
 
 
+@pytest.mark.parametrize("entry", [
+    {"best_size": 3},
+    {"L": 13, "w": 3, "best_size": "three"},
+    {"code": {"L": 13, "w": 3}},
+    [1, 2, 3],
+], ids=["no-L", "bad-size", "certificate-without-generators", "a-list"])
+def test_catalog_malformed_entry(tmp_path, capsys, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entry))
+    rc, out, err = run(capsys, "catalog", "update", str(bad),
+                       "--catalog", str(tmp_path / "c.jsonl"))
+    assert rc == 3
+    assert "ParseError" in err
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_catalog_integrity(tmp_path, capsys):
     cat = tmp_path / "cat.jsonl"
     bogus = tmp_path / "bogus.json"
@@ -306,6 +399,25 @@ def test_catalog_integrity(tmp_path, capsys):
     rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
     assert rc == 3
     assert "do not certify" in err
+
+    # update runs the same check: generators that are not a CAC are refused
+    good = tmp_path / "good.jsonl"
+    search15 = tmp_path / "or15.json"
+    rc, out, _ = run(capsys, "search", "15", "3", "--json")
+    search15.write_text(out)
+    rc, _, _ = run(capsys, "catalog", "update", str(search15), "--catalog", str(good))
+    assert rc == 0
+    before = good.read_bytes()
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps({
+        "L": 13, "w": 3, "best_size": 3, "source": "forged",
+        "exact": True, "generators": [1, 2, 5],
+    }))
+    rc, _, err = run(capsys, "catalog", "update", str(forged), "--catalog", str(good))
+    assert rc == 3
+    assert "(13,3) stored generators do not certify" in err
+    assert good.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
 
 
 def test_no_command_usage():

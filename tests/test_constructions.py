@@ -137,6 +137,52 @@ def test_check_condition_pins():
         check_condition(15, 3, 0)
 
 
+def test_check_condition_factors_once(monkeypatch):
+    import cacforge.constructions as constructions
+    import cacforge.numtheory as numtheory
+
+    calls = []
+
+    def counting_factorize(n):
+        calls.append(n)
+        return numtheory.factorize(n)
+
+    def no_order(a, L):
+        raise AssertionError("check_condition must not call multiplicative_order")
+
+    monkeypatch.setattr(constructions, "factorize", counting_factorize)
+    monkeypatch.setattr(constructions, "multiplicative_order", no_order)
+    wit = check_condition(671, 11, 2)
+    assert (wit.H.generator, wit.H.order) == (45, 30)
+    assert calls == [30]
+
+
+def test_check_condition_matches_multiplicative_order():
+    from cacforge.numtheory import cosets, cyclic_subgroup, is_sdr, multiplicative_order, unit_group
+
+    def reference(L, w, kind):
+        units = unit_group(L)
+        slots = (w - 1) if kind == 1 else 2 * (w - 1)
+        if len(units) % slots:
+            return None
+        reps = tuple(range(1, w)) if kind == 1 else tuple(
+            v for j in range(1, w) for v in (j, L - j))
+        for a in sorted(units):
+            if multiplicative_order(a, L) != len(units) // slots:
+                continue
+            H = cyclic_subgroup(a, L)
+            if ((L - 1) in H.elements) == (kind == 1) and is_sdr(reps, cosets(H, units)):
+                return (a, H.order, reps)
+        return None
+
+    for L in range(2, 160):
+        for w in range(2, 6):
+            for kind in (1, 2):
+                wit = check_condition(L, w, kind)
+                got = None if wit is None else (wit.H.generator, wit.H.order, wit.reps)
+                assert got == reference(L, w, kind), (L, w, kind)
+
+
 def test_condition_witness_json():
     wit = check_condition(5, 3, 1)
     assert wit.to_json() == {"kind": 1, "generator": 4, "order": 2}

@@ -13,6 +13,7 @@ from cacforge.numtheory import (
     is_sdr,
     multiplicative_order,
     primitive_root,
+    sdr_offender,
     totient,
     unit_group,
 )
@@ -200,3 +201,14 @@ def test_is_sdr():
     assert not is_sdr((1, 4), parts)  # same coset twice
     assert not is_sdr((1,), parts)  # a coset left unhit
     assert not is_sdr((1, 2, 3), parts)  # too many reps
+    assert not is_sdr((1, 2, 5), parts)  # 5 lies in no coset
+
+
+def test_sdr_offender():
+    parts = [frozenset({1, 4}), frozenset({2, 3})]
+    assert sdr_offender((1, 2), parts) is None
+    assert sdr_offender((1, 4), parts) == parts[0]  # hit twice, first in order
+    assert sdr_offender((1, 5), parts) == parts[1]  # never hit
+    assert sdr_offender((3, 1, 5), parts) == frozenset()  # every coset hit once, 5 astray
+    assert sdr_offender((5,), []) == frozenset()
+    assert sdr_offender((), []) is None

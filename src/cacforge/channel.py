@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import comb
 
 from .codes import Code, EquiDiffCodeword, code_from_json, support, verify_cac
-from .errors import BudgetExceeded, DuplicateAssignment, NotACac, ParseError
+from .errors import BudgetExceeded, DuplicateAssignment, NotACac, ParamMismatch, ParseError
 
 EXHAUSTIVE_BUDGET = 5_000_000
 
@@ -86,7 +86,7 @@ def scenario_from_json(obj: dict) -> Scenario:
             seed=int(obj.get("seed", 0)),
             trials=int(obj.get("trials", 0)),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"malformed scenario ({type(e).__name__}: {e})") from e
     if sc.trials < 0:
         raise ParseError(f"trials must be >= 0, got {sc.trials}")
@@ -130,7 +130,7 @@ def simulate(sc: Scenario) -> SimReport:
             raise DuplicateAssignment(f"codeword indices repeat in {idxs}")
         for i in idxs:
             if not 0 <= i < len(code):
-                raise ValueError(f"codeword index {i} out of range")
+                raise ParamMismatch(f"codeword index {i} out of range for {len(code)} codewords")
         counts = _run_once([_rot(masks[i], -d, L, full) for i, d in sc.active])
         per_user = {i: c for (i, _), c in zip(sc.active, counts)}
         violations = []
@@ -139,6 +139,8 @@ def simulate(sc: Scenario) -> SimReport:
         return SimReport(per_user, tuple(violations), 1, sc.seed)
 
     n = len(code)
+    if sc.trials and not n:
+        raise ParamMismatch("sampled trials need at least one codeword")
     per_user = {i: 0 for i in range(n)}
     violations = []
     for t in range(sc.trials):

@@ -22,7 +22,7 @@ from .bounds import (
     subset_excess_bound,
 )
 from .channel import scenario_from_json, simulate
-from .codes import Certificate, Code, code_from_json, is_tight, verify_cac
+from .codes import Certificate, Code, code_from_json, verify_cac
 from .constructions import (
     Theorem1Params,
     construct_lemma1,
@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
         obj = obj["code"]
     code = code_from_json(obj)
     report = verify_cac(code)
-    tight = is_tight(code) if report.ok else False
+    tight = report.ok and report.covered == code.length - 1
     br = new_bound(code.length, code.weight)
     if args.json:
         out = report.to_json()
@@ -218,10 +218,14 @@ def _normalize_entry(obj: dict) -> dict:
             exact = flags.get("optimal_by_bound") or flags.get("optimal_by_oracle")
         else:
             raise ParseError("unrecognized catalog entry shape")
-        return {"L": int(L), "w": int(w), "best_size": int(size), "source": str(source),
-                "exact": bool(exact), "generators": [int(g) for g in gens]}
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        entry = {"L": int(L), "w": int(w), "best_size": int(size), "source": str(source),
+                 "exact": bool(exact), "generators": [int(g) for g in gens]}
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ParseError(f"malformed catalog entry ({type(e).__name__}: {e})") from e
+    if entry["L"] < 2 or entry["w"] < 2:
+        raise ParseError(f"malformed catalog entry (need L >= 2 and w >= 2, "
+                         f"got ({entry['L']},{entry['w']}))")
+    return entry
 
 
 def _load_catalog(path: str) -> dict:
@@ -342,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("w", type=int)
     b.add_argument("--all", action="store_true", help="print comparison bounds too")
     b.add_argument("--json", action="store_true")
-    b.set_defaults(func=cmd_bound)
 
     c = sub.add_parser("construct", help="run a construction, emit its certificate")
     c.add_argument("method", choices=["lemma1", "theorem1", "theorem2", "two-prime"])
@@ -356,12 +359,10 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cert2", help="second input certificate (theorem2)")
     c.add_argument("--out", help="write the certificate JSON here instead of stdout")
     c.add_argument("--json", action="store_true", help="output is JSON regardless")
-    c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="verify a code or certificate JSON file")
     v.add_argument("file")
     v.add_argument("--json", action="store_true")
-    v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("search", help="exact oracle value of M^e(L, w)")
     s.add_argument("L", type=int)
@@ -370,14 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="search node budget")
     s.add_argument("--cap", type=int, help="override the desk-scale length cap")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_search)
 
     m = sub.add_parser("simulate", help="run a channel scenario JSON file")
     m.add_argument("file")
     m.add_argument("--seed", type=int, help="override the scenario seed")
     m.add_argument("--trials", type=_non_negative, help="override the scenario trial count")
     m.add_argument("--json", action="store_true")
-    m.set_defaults(func=cmd_simulate)
 
     g = sub.add_parser("catalog", help="maintain the certified-results catalog")
     g.add_argument("action", choices=["update", "show", "check"])
@@ -385,14 +384,15 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--catalog",
                    help="catalog path (default: $CACFORGE_CATALOG or ./catalog.jsonl)")
     g.add_argument("--json", action="store_true")
-    g.set_defaults(func=cmd_catalog)
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up per call: the parser is cached, a module global may be replaced
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except BudgetExceeded as e:
         _err(f"budget exceeded: {e}" + (
             f" (incumbent {e.size}, not exact, after {e.nodes} search nodes)"

@@ -82,6 +82,8 @@ def _resolve_alpha(p: int, alpha: int | None) -> int:
 
 
 def _certificate(code: Code, params: dict) -> Certificate:
+    # is_tight repeats verify_cac, where report.covered would do; the
+    # benchmark's tracer test pins these three difference-set passes
     report = verify_cac(code)
     if not report.ok:
         raise NotACac(
@@ -143,18 +145,30 @@ def construct_theorem1(params: Theorem1Params) -> Certificate:
     )
 
 
+def _theorem1_sdr_holds(p: int, w: int, m: int) -> bool:
+    """Whether 1..w-1 is an SDR of the cosets of N1 in H, by exponentiation.
+
+    Z_p^x is cyclic, so H and N1 are its unique subgroups of orders
+    2m(w-1) and 2m: j lies in H iff j^(2m(w-1)) = 1, and j, k share an
+    N1-coset iff j^(2m) = k^(2m). There are w-1 cosets, so the w-1
+    representatives form an SDR iff all lie in H and no two share a coset.
+    """
+    keys = {pow(j, 2 * m, p) for j in range(1, w)}
+    return len(keys) == w - 1 and all(pow(k, w - 1, p) == 1 for k in keys)
+
+
 def _prime_length_code(p: int, w: int, m: int, s: int, alpha: int, params: dict) -> Certificate:
     """The code of theorem 1 (lemma 1 when s = 1) for validated parameters."""
-    H = cyclic_subgroup(pow(alpha, s, p), p)
-    N1 = cyclic_subgroup(pow(alpha, s * (w - 1), p), p)
-    if H.order != 2 * m * (w - 1) or N1.order != 2 * m:
-        raise InconsistentClaim(f"subgroup orders {H.order}, {N1.order} for p = {p}")
-    offender = sdr_offender(range(1, w), cosets(N1, H.elements))
-    if offender is not None:
+    h, n1 = pow(alpha, s, p), pow(alpha, s * (w - 1), p)
+    orders = multiplicative_order(h, p), multiplicative_order(n1, p)
+    if orders != (2 * m * (w - 1), 2 * m):
+        raise InconsistentClaim(f"subgroup orders {orders[0]}, {orders[1]} for p = {p}")
+    if not _theorem1_sdr_holds(p, w, m):
+        # enumerate the cosets only to name the offending one
+        H, N1 = cyclic_subgroup(h, p), cyclic_subgroup(n1, p)
         raise SdrConditionFailed(
-            f"1..{w - 1} is not an SDR of the cosets of <{N1.generator}> in "
-            f"<{H.generator}> mod {p}",
-            coset=offender,
+            f"1..{w - 1} is not an SDR of the cosets of <{n1}> in <{h}> mod {p}",
+            coset=sdr_offender(range(1, w), cosets(N1, H.elements)),
         )
     step = s * (w - 1)
     gens = [pow(alpha, i + step * j, p) for i in range(s) for j in range(m)]
@@ -199,7 +213,7 @@ def construct_theorem2(cert1: Certificate, cert2: Certificate) -> Certificate:
             f"lengths must be distinct primes greater than w-1, got {p1}, {p2}"
         )
     for code, p in ((code1, p1), (code2, p2)):
-        if not verify_cac(code).ok or not is_tight(code):
+        if verify_cac(code).covered != p - 1:
             raise InputNotTight(f"input of length {p} is not a tight CAC")
         if len(code) != (p - 1) // (2 * w - 2) or len(code) != new_bound(p, w).floor_value:
             raise InputNotOptimal(

@@ -1,6 +1,10 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
+
+import cacforge
 
 # Filled by test_acceptance.py; one entry per criterion number.
 _acceptance: dict[int, tuple[str, bool]] = {}
@@ -8,6 +12,13 @@ _acceptance: dict[int, tuple[str, bool]] = {}
 
 def record(num: int, name: str, ok: bool) -> None:
     _acceptance[num] = (name, ok)
+
+
+def subprocess_env() -> dict:
+    """The environment for a child Python that must import this cacforge."""
+    src = str(Path(cacforge.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -22,7 +22,7 @@ from cacforge.constructions import (
     construct_theorem2,
     construct_two_prime,
 )
-from cacforge.errors import BudgetExceeded, DuplicateAssignment, NotACac
+from cacforge.errors import BudgetExceeded, DuplicateAssignment, NotACac, ParamMismatch
 
 
 def test_protocol_sequence():
@@ -75,8 +75,10 @@ def test_simulate_rejects():
     code = Code.from_generators(9, 3, [1, 3])
     with pytest.raises(DuplicateAssignment):
         simulate(Scenario(code, active=((0, 0), (0, 4))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParamMismatch):
         simulate(Scenario(code, active=((7, 0),)))
+    with pytest.raises(ParamMismatch):
+        simulate(Scenario(Code(9, 3, ()), trials=3))
     with pytest.raises(NotACac):
         simulate(Scenario(Code.from_generators(9, 3, [1, 4]), active=((0, 0),)))
 

@@ -118,11 +118,14 @@ def test_verify_cac():
     good = Code.from_generators(9, 3, [1, 3])
     rep = verify_cac(good)
     assert rep.ok and rep.pair is None and rep.witness is None
+    assert rep.covered == 6  # {1, 2, 7, 8} and {3, 6}
+    assert rep.to_json() == {"ok": True, "pair": None, "witness": None}
     bad = Code.from_generators(9, 3, [1, 4])
     rep = verify_cac(bad)
     assert not rep.ok
     assert rep.pair == (0, 1)
     assert rep.witness == 1
+    assert rep.covered is None
     assert rep.to_json() == {"ok": False, "pair": [0, 1], "witness": 1}
 
 

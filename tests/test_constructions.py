@@ -1,9 +1,13 @@
+import subprocess
+import sys
+
 import pytest
 
 from cacforge.bounds import new_bound
 from cacforge.codes import CertFlags, Certificate, Code, is_tight, verify_cac
 from cacforge.constructions import (
     Theorem1Params,
+    _theorem1_sdr_holds,
     check_condition,
     construct_lemma1,
     construct_theorem1,
@@ -21,6 +25,15 @@ from cacforge.errors import (
     ParamMismatch,
     SdrConditionFailed,
 )
+from cacforge.numtheory import (
+    cosets,
+    cyclic_subgroup,
+    divisors,
+    is_prime,
+    primitive_root,
+    sdr_offender,
+)
+from conftest import subprocess_env
 
 
 def _hand_certificate(L, w, gens):
@@ -90,6 +103,52 @@ def test_find_theorem1_params():
         for m, s, alpha in find_theorem1_params(p, w):
             cert = construct_theorem1(Theorem1Params(p, w, m, s, alpha))
             assert cert.flags.tight and cert.flags.optimal_by_bound
+
+
+def test_theorem1_sdr_by_exponents_matches_coset_enumeration():
+    cases = 0
+    for p in range(3, 2500):
+        if not is_prime(p):
+            continue
+        alpha = primitive_root(p)
+        for w in range(2, 8):
+            if (p - 1) % (2 * w - 2):
+                continue
+            for s in divisors((p - 1) // (2 * w - 2)):
+                m = (p - 1) // (2 * w - 2) // s
+                H = cyclic_subgroup(pow(alpha, s, p), p)
+                N1 = cyclic_subgroup(pow(alpha, s * (w - 1), p), p)
+                expected = sdr_offender(range(1, w), cosets(N1, H.elements)) is None
+                assert _theorem1_sdr_holds(p, w, m) is expected, (p, w, s)
+                cases += 1
+    assert cases == 6794
+
+
+_CHECKS_UNDER_O = """
+from cacforge.codes import DifferenceSet
+from cacforge.constructions import _prime_length_code
+from cacforge.errors import InconsistentClaim
+try:
+    _prime_length_code(13, 3, 2, 1, 2, {})  # <2> has order 12 mod 13, not 2m(w-1) = 8
+except InconsistentClaim as e:
+    print("InconsistentClaim:", e)
+try:
+    DifferenceSet(13, frozenset({1}))
+except ValueError as e:
+    print("ValueError:", e)
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "python-O"])
+def test_subgroup_order_and_difference_set_checks_survive_python_O(optimize):
+    cmd = [sys.executable, *(["-O"] if optimize else []), "-c", _CHECKS_UNDER_O]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "InconsistentClaim: subgroup orders 12, 6 for p = 13",
+        "ValueError: difference set not closed under negation",
+    ]
 
 
 def test_theorem2_compose():

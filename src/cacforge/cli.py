@@ -201,30 +201,46 @@ def _catalog_path(args) -> str:
     return args.catalog or os.environ.get("CACFORGE_CATALOG") or "catalog.jsonl"
 
 
+def _flag(value, name: str) -> bool:
+    """A JSON true, false or null (read as false); anything else is a ParseError."""
+    if value is not None and not isinstance(value, bool):
+        raise ParseError(f"malformed catalog entry ({name} must be true, false or null, "
+                         f"got {value!r})")
+    return bool(value)
+
+
 def _normalize_entry(obj: dict) -> dict:
     """Accept native catalog entries, oracle results, or certificates."""
     try:
         if "best_size" in obj:
             L, w, size, gens = obj["L"], obj["w"], obj["best_size"], obj.get("generators", [])
-            source, exact = obj.get("source", "unknown"), obj.get("exact", False)
+            source = obj.get("source", "unknown")
+            exact = _flag(obj.get("exact", False), "exact")
         elif "max" in obj and "witness" in obj:
             L, w, size, gens = obj["L"], obj["w"], obj["max"], obj["witness"]
-            source, exact = "oracle", obj.get("exact", False)
+            source, exact = "oracle", _flag(obj.get("exact", False), "exact")
         elif "code" in obj:
             code, flags = obj["code"], obj.get("flags", {})
             L, w, gens = code["L"], code["w"], code["generators"]
             size = len(gens)
             source = obj.get("params", {}).get("method", "certificate")
-            exact = flags.get("optimal_by_bound") or flags.get("optimal_by_oracle")
+            exact = any([_flag(flags.get(k), k)
+                         for k in ("optimal_by_bound", "optimal_by_oracle")])
         else:
             raise ParseError("unrecognized catalog entry shape")
+        if not isinstance(gens, list):
+            raise ParseError(f"malformed catalog entry (generators must be a list, "
+                             f"got {gens!r})")
         entry = {"L": int(L), "w": int(w), "best_size": int(size), "source": str(source),
-                 "exact": bool(exact), "generators": [int(g) for g in gens]}
+                 "exact": exact, "generators": [int(g) for g in gens]}
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ParseError(f"malformed catalog entry ({type(e).__name__}: {e})") from e
     if entry["L"] < 2 or entry["w"] < 2:
         raise ParseError(f"malformed catalog entry (need L >= 2 and w >= 2, "
                          f"got ({entry['L']},{entry['w']}))")
+    if entry["best_size"] < 0:
+        raise ParseError(f"malformed catalog entry (best_size {entry['best_size']} "
+                         f"is negative)")
     return entry
 
 

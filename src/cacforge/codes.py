@@ -47,10 +47,12 @@ class DifferenceSet:
     elements: frozenset[int]
 
     def __post_init__(self):
-        for x in self.elements:
-            if not 1 <= x <= self.length - 1:
+        L, elems = self.length, self.elements
+        for x in elems:
+            if not 0 < x < L:
                 raise ValueError("difference outside Z_L minus 0")
-            if (self.length - x) % self.length not in self.elements:
+            # -x mod L is L - x once 0 < x < L
+            if L - x not in elems:
                 raise ValueError("difference set not closed under negation")
 
 
@@ -150,15 +152,20 @@ class VerificationReport:
 def verify_cac(code: Code) -> VerificationReport:
     """Check pairwise disjointness of all difference sets.
 
-    On failure reports the first offending codeword pair (by list order,
-    differences scanned ascending) and a shared difference as witness.
+    On failure reports the first codeword whose set meets an earlier
+    one, paired with the earlier codeword that holds their least shared
+    difference, and that difference as witness.
     """
-    seen: dict[int, int] = {}
+    # a set, not a dict: set.isdisjoint and |= then run in C
+    seen: set[int] = set()
     for idx, cw in enumerate(code.codewords):
-        for x in sorted(difference_set(cw).elements):
-            if x in seen:
-                return VerificationReport(False, (seen[x], idx), x)
-            seen[x] = idx
+        elems = difference_set(cw).elements
+        if not seen.isdisjoint(elems):
+            x = min(elems & seen)
+            owner = next(i for i, prev in enumerate(code.codewords)
+                         if x in difference_set(prev).elements)
+            return VerificationReport(False, (owner, idx), x)
+        seen |= elems
     return VerificationReport(True, covered=len(seen))
 
 

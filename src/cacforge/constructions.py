@@ -27,6 +27,7 @@ from .errors import (
     InputNotTight,
     LengthsNotCoprimePrimes,
     NotACac,
+    NotAUnit,
     NotPrime,
     NotPrimitive,
     ParamMismatch,
@@ -73,10 +74,25 @@ class ConditionWitness:
         return {"kind": self.kind, "generator": self.H.generator, "order": self.H.order}
 
 
-def _resolve_alpha(p: int, alpha: int | None) -> int:
+def _order_is(a: int, t: int, n: int, primes) -> bool:
+    """a^t = 1 mod n and a^(t/q) != 1 for every q in primes dividing t.
+
+    That is "a has order exactly t" whenever primes holds every prime
+    factor of t.
+    """
+    return pow(a, t, n) == 1 and all(pow(a, t // q, n) != 1 for q in primes if t % q == 0)
+
+
+def _resolve_alpha(p: int, alpha: int | None, primes) -> int:
+    """alpha checked to be primitive mod p, or the smallest primitive root.
+
+    primes are the prime factors of p - 1.
+    """
     if alpha is None:
-        return primitive_root(p)
-    if multiplicative_order(alpha, p) != p - 1:
+        return primitive_root(p, primes)
+    if alpha % p == 0:
+        raise NotAUnit(f"0 is not a unit mod {p}")
+    if not _order_is(alpha, p - 1, p, primes):
         raise NotPrimitive(f"{alpha} does not generate Z_{p}^x")
     return alpha
 
@@ -118,10 +134,7 @@ def construct_lemma1(p: int, w: int, alpha: int | None = None) -> Certificate:
     if (p - 1) % (2 * w - 2):
         raise ParamMismatch(f"p = {p} is not of the form 2(w-1)m + 1 for w = {w}")
     m = (p - 1) // (2 * w - 2)
-    alpha = _resolve_alpha(p, alpha)
-    return _prime_length_code(
-        p, w, m, 1, alpha, {"method": "lemma1", "p": p, "w": w, "m": m, "alpha": alpha}
-    )
+    return _prime_length_code(p, w, m, 1, alpha, {"method": "lemma1", "p": p, "w": w, "m": m})
 
 
 def construct_theorem1(params: Theorem1Params) -> Certificate:
@@ -138,10 +151,8 @@ def construct_theorem1(params: Theorem1Params) -> Certificate:
         raise NotPrime(f"{p} is not prime")
     if p != 2 * (w - 1) * m * s + 1:
         raise ParamMismatch(f"p = {p} but 2(w-1)ms + 1 = {2 * (w - 1) * m * s + 1}")
-    alpha = _resolve_alpha(p, params.alpha)
     return _prime_length_code(
-        p, w, m, s, alpha,
-        {"method": "theorem1", "p": p, "w": w, "m": m, "s": s, "alpha": alpha},
+        p, w, m, s, params.alpha, {"method": "theorem1", "p": p, "w": w, "m": m, "s": s}
     )
 
 
@@ -157,18 +168,32 @@ def _theorem1_sdr_holds(p: int, w: int, m: int) -> bool:
     return len(keys) == w - 1 and all(pow(k, w - 1, p) == 1 for k in keys)
 
 
-def _prime_length_code(p: int, w: int, m: int, s: int, alpha: int, params: dict) -> Certificate:
-    """The code of theorem 1 (lemma 1 when s = 1) for validated parameters."""
+def _prime_length_code(p: int, w: int, m: int, s: int, alpha: int | None,
+                       params: dict) -> Certificate:
+    """The code of theorem 1 (lemma 1 when s = 1) for validated parameters.
+
+    alpha is resolved (and checked) here, and recorded as params' last
+    key. One factorization of p - 1 serves the primitivity test and both
+    subgroup-order checks.
+    """
+    primes = factorize(p - 1).primes
+    alpha = _resolve_alpha(p, alpha, primes)
+    params = {**params, "alpha": alpha}
     h, n1 = pow(alpha, s, p), pow(alpha, s * (w - 1), p)
-    orders = multiplicative_order(h, p), multiplicative_order(n1, p)
-    if orders != (2 * m * (w - 1), 2 * m):
+    exact = all((p - 1) % t == 0 and _order_is(a, t, p, primes)
+                for a, t in ((h, 2 * m * (w - 1)), (n1, 2 * m)))
+    if not exact:
+        orders = multiplicative_order(h, p), multiplicative_order(n1, p)
         raise InconsistentClaim(f"subgroup orders {orders[0]}, {orders[1]} for p = {p}")
     if not _theorem1_sdr_holds(p, w, m):
-        # enumerate the cosets only to name the offending one
-        H, N1 = cyclic_subgroup(h, p), cyclic_subgroup(n1, p)
+        def offender():
+            # the cosets are enumerated only when .coset is read
+            H, N1 = cyclic_subgroup(h, p), cyclic_subgroup(n1, p)
+            return sdr_offender(range(1, w), cosets(N1, H.elements))
+
         raise SdrConditionFailed(
             f"1..{w - 1} is not an SDR of the cosets of <{n1}> in <{h}> mod {p}",
-            coset=sdr_offender(range(1, w), cosets(N1, H.elements)),
+            coset=offender,
         )
     step = s * (w - 1)
     gens = [pow(alpha, i + step * j, p) for i in range(s) for j in range(m)]
@@ -245,13 +270,12 @@ def check_condition(L: int, w: int, kind: int) -> ConditionWitness | None:
     slots = (w - 1) if kind == 1 else 2 * (w - 1)
     if len(units) % slots:
         return None
-    # a has order target iff a^target = 1 and no a^(target/q) = 1, q prime
     target = len(units) // slots
     primes = factorize(target).primes
     reps = tuple(range(1, w)) if kind == 1 else tuple(
         v for j in range(1, w) for v in (j, L - j))
     for a in sorted(units):
-        if pow(a, target, L) != 1 or any(pow(a, target // q, L) == 1 for q in primes):
+        if not _order_is(a, target, L, primes):
             continue
         H = cyclic_subgroup(a, L)
         if ((L - 1) in H.elements) != (kind == 1):

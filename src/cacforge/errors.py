@@ -60,11 +60,23 @@ class SdrConditionFailed(CacError):
     """The required system of distinct representatives does not exist.
 
     Carries the first offending coset (zero or several representatives).
+    coset may be given as a zero-argument callable; it is then called the
+    first time .coset is read, and its value is kept.
     """
 
     def __init__(self, message, coset=None):
         super().__init__(message)
-        self.coset = coset
+        self._coset = coset
+
+    @property
+    def coset(self):
+        if callable(self._coset):
+            self._coset = self._coset()
+        return self._coset
+
+    def __reduce__(self):
+        # a pickled copy carries the coset itself, not the callable
+        return type(self), (*self.args, self.coset)
 
 
 class ConditionNotSatisfied(CacError):

@@ -433,6 +433,44 @@ def test_catalog_malformed_entry(tmp_path, capsys, entry):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("exact", "no", "exact must be true, false or null"),
+    ("generators", "12", "generators must be a list"),
+    ("best_size", -5, "best_size -5 is negative"),
+], ids=["exact-string", "generators-string", "negative-size"])
+def test_catalog_entry_contract(tmp_path, capsys, field, value, message):
+    entry = {"L": 15, "w": 3, "best_size": 4, "source": "x", "exact": True,
+             "generators": [1, 3, 4, 5]}
+    cat = tmp_path / "cat.jsonl"
+    cat.write_text(json.dumps(entry) + "\n")
+    rc, _, _ = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert rc == 0
+    cat.write_text(json.dumps({**entry, field: value}) + "\n")
+    for action in ("check", "show"):
+        rc, out, err = run(capsys, "catalog", action, "--catalog", str(cat))
+        assert rc == 3, action
+        assert "ParseError" in err and message in err
+        assert "Traceback" not in out + err
+
+
+def test_catalog_rewrite_is_byte_identical(tmp_path, capsys):
+    cat = tmp_path / "cat.jsonl"
+    lines = [
+        {"L": 13, "w": 3, "best_size": 3, "source": "lemma1", "exact": True,
+         "generators": [1, 3, 4]},
+        {"L": 15, "w": 3, "best_size": 4, "source": "oracle", "exact": False,
+         "generators": [1, 3, 4, 5]},
+        {"L": 20, "w": 3, "best_size": 0, "source": "x", "exact": False, "generators": []},
+    ]
+    text = "".join(json.dumps(e, sort_keys=True) + "\n" for e in lines)
+    cat.write_text(text)
+    entries = cli._load_catalog(str(cat))
+    cli._write_catalog(str(cat), entries)
+    assert cat.read_text() == text
+    rc, out, _ = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert rc == 0 and "ok, 3 entries" in out
+
+
 def test_catalog_integrity(tmp_path, capsys):
     cat = tmp_path / "cat.jsonl"
     bogus = tmp_path / "bogus.json"

@@ -2,12 +2,15 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacforge.bounds import new_bound
 from cacforge.codes import (
     CertFlags,
     Certificate,
     Code,
+    DifferenceSet,
     EquiDiffCodeword,
     canonicalize,
     code_from_json,
@@ -53,6 +56,16 @@ def test_difference_set_pins():
     assert d.elements == frozenset({1, 2, 7, 8})
     d = difference_set(EquiDiffCodeword(9, 3, 3))
     assert d.elements == frozenset({3, 6})
+
+
+@pytest.mark.parametrize("elements, message", [
+    ({0}, "outside"), ({13}, "outside"), ({-1, 14}, "outside"), ({5, 8, 13}, "outside"),
+    ({1}, "not closed"), ({1, 12, 2}, "not closed"),
+])
+def test_difference_set_rejects(elements, message):
+    with pytest.raises(ValueError, match=message):
+        DifferenceSet(13, frozenset(elements))
+    assert DifferenceSet(13, frozenset({1, 12, 2, 11})).elements == {1, 2, 11, 12}
 
 
 def test_exceptional():
@@ -132,6 +145,42 @@ def test_verify_cac():
 def test_verify_cac_duplicate_generator():
     rep = verify_cac(Code.from_generators(13, 3, [1, 1]))
     assert not rep.ok and rep.pair == (0, 1)
+
+
+def _verify_reference(code):
+    """The sorted scan with a dict of owners that verify_cac must agree with."""
+    owner = {}
+    for idx, cw in enumerate(code.codewords):
+        for x in sorted(difference_set(cw).elements):
+            if x in owner:
+                return False, (owner[x], idx), x, None
+            owner[x] = idx
+    return True, None, None, len(owner)
+
+
+@st.composite
+def _codes(draw):
+    L = draw(st.integers(2, 90))
+    w = draw(st.integers(2, min(L, 7)))
+    valid = [g for g in range(1, L) if L // math.gcd(L, g) >= w]
+    gens = draw(st.lists(st.sampled_from(valid), max_size=10))
+    if draw(st.booleans()):
+        # keep only generators whose difference sets miss the kept ones: a CAC
+        kept, seen = [], set()
+        for g in gens:
+            d = difference_set(EquiDiffCodeword(L, w, g)).elements
+            if seen.isdisjoint(d):
+                kept.append(g)
+                seen |= d
+        gens = kept
+    return Code.from_generators(L, w, gens)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(code=_codes())
+def test_verify_cac_matches_sorted_scan(code):
+    rep = verify_cac(code)
+    assert (rep.ok, rep.pair, rep.witness, rep.covered) == _verify_reference(code)
 
 
 def test_is_tight():

@@ -1,5 +1,7 @@
+import pickle
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -7,6 +9,8 @@ from cacforge.bounds import new_bound
 from cacforge.codes import CertFlags, Certificate, Code, is_tight, verify_cac
 from cacforge.constructions import (
     Theorem1Params,
+    _order_is,
+    _resolve_alpha,
     _theorem1_sdr_holds,
     check_condition,
     construct_lemma1,
@@ -20,6 +24,7 @@ from cacforge.errors import (
     InputNotOptimal,
     InputNotTight,
     LengthsNotCoprimePrimes,
+    NotAUnit,
     NotPrime,
     NotPrimitive,
     ParamMismatch,
@@ -29,7 +34,9 @@ from cacforge.numtheory import (
     cosets,
     cyclic_subgroup,
     divisors,
+    factorize,
     is_prime,
+    multiplicative_order,
     primitive_root,
     sdr_offender,
 )
@@ -67,7 +74,10 @@ def test_lemma1_sdr_failure():
     # mod 17 the squares {1,2,4,8,9,13,15,16} swallow both 1 and 2
     with pytest.raises(SdrConditionFailed) as ei:
         construct_lemma1(17, 3)
+    # pickling, before any read, carries the coset itself
+    copy = pickle.loads(pickle.dumps(ei.value))
     assert {1, 2} <= set(ei.value.coset)
+    assert (str(copy), copy.coset) == (str(ei.value), ei.value.coset)
     with pytest.raises(SdrConditionFailed):
         construct_lemma1(919, 4)
 
@@ -136,6 +146,14 @@ try:
     DifferenceSet(13, frozenset({1}))
 except ValueError as e:
     print("ValueError:", e)
+from cacforge.constructions import Theorem1Params, construct_lemma1, construct_theorem1
+from cacforge.errors import SdrConditionFailed
+for build in (lambda: construct_lemma1(17, 3),
+              lambda: construct_theorem1(Theorem1Params(37, 4, 3, 2, 2))):
+    try:
+        build()
+    except SdrConditionFailed as e:
+        print("SdrConditionFailed:", e, sorted(e.coset))
 """
 
 
@@ -148,7 +166,106 @@ def test_subgroup_order_and_difference_set_checks_survive_python_O(optimize):
     assert proc.stdout.splitlines() == [
         "InconsistentClaim: subgroup orders 12, 6 for p = 13",
         "ValueError: difference set not closed under negation",
+        "SdrConditionFailed: 1..2 is not an SDR of the cosets of <9> in <3> mod 17 "
+        "[1, 2, 4, 8, 9, 13, 15, 16]",
+        "SdrConditionFailed: 1..3 is not an SDR of the cosets of <27> in <4> mod 37 "
+        "[9, 12, 16, 21, 25, 28]",
     ]
+
+
+def _counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_offending_coset_is_built_only_when_read(monkeypatch):
+    import cacforge.constructions as constructions
+
+    counts = Counter()
+    monkeypatch.setattr(constructions, "cyclic_subgroup",
+                        _counting(counts, "cyclic_subgroup", cyclic_subgroup))
+    monkeypatch.setattr(constructions, "cosets", _counting(counts, "cosets", cosets))
+    failing = []
+    for p in range(3, 400):
+        if not is_prime(p):
+            continue
+        for w in range(3, 7):
+            if (p - 1) % (2 * w - 2):
+                continue
+            total = (p - 1) // (2 * w - 2)
+            passing = {s for _, s, _ in find_theorem1_params(p, w)}
+            failing += [(p, w, s) for s in divisors(total) if s not in passing]
+    assert counts == Counter()
+    assert len(failing) == 397
+    for p, w, s in failing:
+        alpha = primitive_root(p)
+        m = (p - 1) // (2 * w - 2) // s
+        with pytest.raises(SdrConditionFailed) as ei:
+            construct_theorem1(Theorem1Params(p, w, m, s, alpha))
+        assert counts == Counter()
+        H = cyclic_subgroup(pow(alpha, s, p), p)
+        N1 = cyclic_subgroup(pow(alpha, s * (w - 1), p), p)
+        expected = sdr_offender(range(1, w), cosets(N1, H.elements))
+        assert ei.value.coset == expected is not None, (p, w, s)
+        assert ei.value.coset is ei.value.coset
+        assert counts == Counter({"cyclic_subgroup": 2, "cosets": 1}), (p, w, s)
+        counts.clear()
+
+
+def test_exact_order_test_matches_multiplicative_order():
+    cases = 0
+    for p in range(3, 300):
+        if not is_prime(p):
+            continue
+        primes = factorize(p - 1).primes
+        for a in range(1, p):
+            order = multiplicative_order(a, p)
+            for t in divisors(p - 1):
+                assert _order_is(a, t, p, primes) is (order == t), (p, a, t)
+                cases += 1
+            if order == p - 1:
+                assert _resolve_alpha(p, a, primes) == a
+            else:
+                with pytest.raises(NotPrimitive):
+                    _resolve_alpha(p, a, primes)
+        assert _resolve_alpha(p, None, primes) == primitive_root(p)
+        with pytest.raises(NotAUnit):
+            _resolve_alpha(p, p, primes)
+    assert cases == 77916
+
+
+def test_prime_length_construction_factors_once(monkeypatch):
+    import cacforge.constructions as constructions
+    import cacforge.numtheory as numtheory
+
+    calls = []
+
+    def counting_factorize(n):
+        calls.append(n)
+        return factorize(n)
+
+    def no_order(a, L):
+        raise AssertionError("a passing construction must not call multiplicative_order")
+
+    monkeypatch.setattr(constructions, "factorize", counting_factorize)
+    monkeypatch.setattr(numtheory, "factorize", counting_factorize)
+    monkeypatch.setattr(constructions, "multiplicative_order", no_order)
+    for alpha in (3, None):
+        construct_theorem1(Theorem1Params(17, 3, 2, 2, alpha))
+        assert calls == [16], alpha
+        calls.clear()
+    construct_lemma1(13, 3)
+    assert calls == [12]
+    calls.clear()
+    with pytest.raises(SdrConditionFailed):
+        construct_theorem1(Theorem1Params(919, 4, 153, 1, 7))
+    assert calls == [918]
+    calls.clear()
+    # primitive_root and divisors, then one factorization per divisor s of 153
+    find_theorem1_params(919, 4)
+    assert calls == [918, 153] + [918] * 6
 
 
 def test_theorem2_compose():

@@ -47,12 +47,10 @@ class DifferenceSet:
     elements: frozenset[int]
 
     def __post_init__(self):
-        L, elems = self.length, self.elements
-        for x in elems:
-            if not 0 < x < L:
+        for x in self.elements:
+            if not 1 <= x <= self.length - 1:
                 raise ValueError("difference outside Z_L minus 0")
-            # -x mod L is L - x once 0 < x < L
-            if L - x not in elems:
+            if (self.length - x) % self.length not in self.elements:
                 raise ValueError("difference set not closed under negation")
 
 

@@ -89,7 +89,7 @@ def _resolve_alpha(p: int, alpha: int | None, primes) -> int:
     primes are the prime factors of p - 1.
     """
     if alpha is None:
-        return primitive_root(p, primes)
+        return primitive_root(p)
     if alpha % p == 0:
         raise NotAUnit(f"0 is not a unit mod {p}")
     if not _order_is(alpha, p - 1, p, primes):

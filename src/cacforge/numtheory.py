@@ -132,16 +132,13 @@ def multiplicative_order(a: int, L: int) -> int:
     return k
 
 
-def primitive_root(p: int, primes=None) -> int:
-    """Smallest primitive root of the prime p (1 for p = 2).
-
-    primes, when given, are the prime factors of p - 1.
-    """
+def primitive_root(p: int) -> int:
+    """Smallest primitive root of the prime p (1 for p = 2)."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p == 2:
         return 1
-    qs = factorize(p - 1).primes if primes is None else primes
+    qs = factorize(p - 1).primes
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
             return g

@@ -252,11 +252,14 @@ def test_prime_length_construction_factors_once(monkeypatch):
     monkeypatch.setattr(constructions, "factorize", counting_factorize)
     monkeypatch.setattr(numtheory, "factorize", counting_factorize)
     monkeypatch.setattr(constructions, "multiplicative_order", no_order)
-    for alpha in (3, None):
-        construct_theorem1(Theorem1Params(17, 3, 2, 2, alpha))
-        assert calls == [16], alpha
-        calls.clear()
-    construct_lemma1(13, 3)
+    construct_theorem1(Theorem1Params(17, 3, 2, 2, 3))
+    assert calls == [16]
+    calls.clear()
+    # with no alpha given, primitive_root factorizes p - 1 a second time
+    construct_theorem1(Theorem1Params(17, 3, 2, 2, None))
+    assert calls == [16, 16]
+    calls.clear()
+    construct_lemma1(13, 3, 2)
     assert calls == [12]
     calls.clear()
     with pytest.raises(SdrConditionFailed):

@@ -22,7 +22,15 @@ from .bounds import (
     subset_excess_bound,
 )
 from .channel import scenario_from_json, simulate
-from .codes import Certificate, Code, code_from_json, verify_cac
+from .codes import (
+    Certificate,
+    Code,
+    code_from_json,
+    json_flag,
+    json_int,
+    json_ints,
+    verify_cac,
+)
 from .constructions import (
     Theorem1Params,
     construct_lemma1,
@@ -201,40 +209,39 @@ def _catalog_path(args) -> str:
     return args.catalog or os.environ.get("CACFORGE_CATALOG") or "catalog.jsonl"
 
 
-def _flag(value, name: str) -> bool:
-    """A JSON true, false or null (read as false); anything else is a ParseError."""
-    if value is not None and not isinstance(value, bool):
-        raise ParseError(f"malformed catalog entry ({name} must be true, false or null, "
-                         f"got {value!r})")
-    return bool(value)
+def _source(value, name: str) -> str:
+    """A catalog entry's source: a JSON string; anything else is a ParseError."""
+    if type(value) is not str:
+        raise ParseError(f"malformed catalog entry ({name} must be a string, got {value!r})")
+    return value
 
 
 def _normalize_entry(obj: dict) -> dict:
     """Accept native catalog entries, oracle results, or certificates."""
+    what = "catalog entry"
     try:
         if "best_size" in obj:
             L, w, size, gens = obj["L"], obj["w"], obj["best_size"], obj.get("generators", [])
-            source = obj.get("source", "unknown")
-            exact = _flag(obj.get("exact", False), "exact")
+            source = _source(obj.get("source", "unknown"), "source")
+            exact = bool(json_flag(obj.get("exact", False), "exact", what))
         elif "max" in obj and "witness" in obj:
             L, w, size, gens = obj["L"], obj["w"], obj["max"], obj["witness"]
-            source, exact = "oracle", _flag(obj.get("exact", False), "exact")
+            source, exact = "oracle", bool(json_flag(obj.get("exact", False), "exact", what))
         elif "code" in obj:
             code, flags = obj["code"], obj.get("flags", {})
-            L, w, gens = code["L"], code["w"], code["generators"]
-            size = len(gens)
-            source = obj.get("params", {}).get("method", "certificate")
-            exact = any([_flag(flags.get(k), k)
+            L, w, size, gens = code["L"], code["w"], None, code["generators"]
+            source = _source(obj.get("params", {}).get("method", "certificate"),
+                             "params.method")
+            exact = any([json_flag(flags.get(k), k, what)
                          for k in ("optimal_by_bound", "optimal_by_oracle")])
         else:
             raise ParseError("unrecognized catalog entry shape")
-        if not isinstance(gens, list):
-            raise ParseError(f"malformed catalog entry (generators must be a list, "
-                             f"got {gens!r})")
-        entry = {"L": int(L), "w": int(w), "best_size": int(size), "source": str(source),
-                 "exact": exact, "generators": [int(g) for g in gens]}
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
+    except (KeyError, TypeError, AttributeError) as e:
         raise ParseError(f"malformed catalog entry ({type(e).__name__}: {e})") from e
+    gens = json_ints(gens, "generators", what)
+    entry = {"L": json_int(L, "L", what), "w": json_int(w, "w", what),
+             "best_size": len(gens) if size is None else json_int(size, "best_size", what),
+             "source": source, "exact": exact, "generators": gens}
     if entry["L"] < 2 or entry["w"] < 2:
         raise ParseError(f"malformed catalog entry (need L >= 2 and w >= 2, "
                          f"got ({entry['L']},{entry['w']}))")

@@ -66,7 +66,14 @@ def difference_set(cw: EquiDiffCodeword) -> DifferenceSet:
         x = j * g % L
         elems.add(x)
         elems.add(L - x)
-    return DifferenceSet(L, frozenset(elems))
+    # the frozen dataclass's __init__ without __post_init__, whose checks
+    # hold by construction: EquiDiffCodeword checked 1 <= g <= L-1 and
+    # L/gcd(L, g) >= w, so x = jg mod L is nonzero for 1 <= j <= w-1; x and
+    # L-x then lie in 1..L-1, and the +- pairs close the set under negation
+    ds = object.__new__(DifferenceSet)
+    object.__setattr__(ds, "length", L)
+    object.__setattr__(ds, "elements", frozenset(elems))
+    return ds
 
 
 def support_difference_set(L: int, elements) -> DifferenceSet:
@@ -188,12 +195,39 @@ def code_to_json(code: Code) -> dict:
     }
 
 
+def json_int(value, name: str, what: str) -> int:
+    """value if it is a JSON integer; a bool, float, string or other is a ParseError."""
+    if type(value) is not int:
+        raise ParseError(f"malformed {what} ({name} must be an integer, got {value!r})")
+    return value
+
+
+def json_ints(values, name: str, what: str) -> list[int]:
+    """values if it is a JSON list of integers, else a ParseError."""
+    if type(values) is not list:
+        raise ParseError(f"malformed {what} ({name} must be a list, got {values!r})")
+    # one pass over the types in C; the offender is looked for only on failure
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ParseError(f"malformed {what} ({name} must be integers, got {bad!r})")
+    return values
+
+
 def code_from_json(obj: dict) -> Code:
     try:
-        return Code.from_generators(
-            int(obj["L"]), int(obj["w"]), [int(g) for g in obj["generators"]])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        L, w, gens = obj["L"], obj["w"], obj["generators"]
+    except (KeyError, TypeError) as e:
         raise ParseError(f"malformed code ({type(e).__name__}: {e})") from e
+    return Code.from_generators(json_int(L, "L", "code"), json_int(w, "w", "code"),
+                                json_ints(gens, "generators", "code"))
+
+
+def json_flag(value, name: str, what: str) -> bool | None:
+    """A JSON true, false or null, returned as is; anything else is a ParseError."""
+    if value is not None and type(value) is not bool:
+        raise ParseError(f"malformed {what} ({name} must be true, false or null, "
+                         f"got {value!r})")
+    return value
 
 
 @dataclass(frozen=True)
@@ -239,17 +273,18 @@ class Certificate:
     def from_json(cls, obj: dict) -> "Certificate":
         try:
             f = obj["flags"]
+            oracle_max = obj.get("oracle_max")
             return cls(
                 code=code_from_json(obj["code"]),
                 bound=BoundReport.from_json(obj["bound"]),
                 flags=CertFlags(
-                    bool(f["verified_cac"]),
-                    bool(f["tight"]),
-                    bool(f["optimal_by_bound"]),
-                    f.get("optimal_by_oracle"),
+                    *(bool(json_flag(f[k], k, "certificate"))
+                      for k in ("verified_cac", "tight", "optimal_by_bound")),
+                    json_flag(f.get("optimal_by_oracle"), "optimal_by_oracle", "certificate"),
                 ),
                 params=dict(obj.get("params", {})),
-                oracle_max=obj.get("oracle_max"),
+                oracle_max=(None if oracle_max is None
+                            else json_int(oracle_max, "oracle_max", "certificate")),
             )
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
             raise ParseError(f"malformed certificate ({type(e).__name__}: {e})") from e

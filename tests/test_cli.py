@@ -198,7 +198,9 @@ def test_verify_file_errors(tmp_path, capsys):
     {"w": 3, "generators": [1, 3]},
     [{"L": 9, "w": 3, "generators": [1, 3]}],
     {"L": 9, "w": 3, "generators": ["x"]},
-], ids=["no-L", "a-list", "bad-generator"])
+    {"L": 13, "w": 3, "generators": "14"},
+    {"L": 13, "w": 3, "generators": {"1": 4}},
+], ids=["no-L", "a-list", "bad-generator", "generators-string", "generators-object"])
 def test_verify_malformed_code(tmp_path, capsys, obj):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -437,7 +439,10 @@ def test_catalog_malformed_entry(tmp_path, capsys, entry):
     ("exact", "no", "exact must be true, false or null"),
     ("generators", "12", "generators must be a list"),
     ("best_size", -5, "best_size -5 is negative"),
-], ids=["exact-string", "generators-string", "negative-size"])
+    ("source", {"a": [1]}, "source must be a string, got {'a': [1]}"),
+    ("source", 7, "source must be a string, got 7"),
+], ids=["exact-string", "generators-string", "negative-size", "source-object",
+        "source-number"])
 def test_catalog_entry_contract(tmp_path, capsys, field, value, message):
     entry = {"L": 15, "w": 3, "best_size": 4, "source": "x", "exact": True,
              "generators": [1, 3, 4, 5]}
@@ -582,7 +587,8 @@ def test_verify_tight_matches_is_tight(tmp_path_factory, code):
     assert json.loads(out)["tight"] is is_tight(code)
 
 
-# a JSON number beyond the float range parses to inf, which int() cannot convert
+# a JSON number beyond the float range parses to inf: a code or catalog field
+# takes JSON integers only, and the int() of a bound or seed cannot convert it
 @pytest.mark.parametrize("command", ["verify", "simulate", "theorem2", "catalog"])
 def test_json_number_overflow_is_a_parse_error(tmp_path, capsys, command):
     big = tmp_path / "big.json"
@@ -602,7 +608,9 @@ def test_json_number_overflow_is_a_parse_error(tmp_path, capsys, command):
     assert "1e400" in big.read_text()
     rc, out, err = run(capsys, *argv)
     assert rc == 3
-    assert "ParseError" in err and "OverflowError" in err
+    strict = command in ("verify", "catalog")
+    assert "ParseError" in err
+    assert ("must be an integer, got inf" if strict else "OverflowError") in err
     assert "Traceback" not in out + err
 
 
@@ -682,3 +690,74 @@ def test_fuzzed_json_inputs_exit_0_or_3(cert_13_3, command, data):
         }[command]
         rc, out, err = run_quiet(*argv)
     assert rc in (0, 3), (text, err)
+
+
+def test_catalog_update_rejects_a_method_that_is_not_a_string(tmp_path, capsys):
+    obj = json.loads(json.dumps(_CERT_5_3))
+    obj["params"]["method"] = ["lemma1"]
+    path, cat = tmp_path / "entry.json", tmp_path / "c.jsonl"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "catalog", "update", str(path), "--catalog", str(cat))
+    assert rc == 3
+    assert "ParseError" in err and "params.method must be a string, got ['lemma1']" in err
+    assert "Traceback" not in out + err
+    assert not cat.exists()
+
+
+_NOT_INTEGERS = [2.5, 3.0, True, "3"]
+_NOT_INTEGER_IDS = ["float", "integral-float", "bool", "string"]
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS, ids=_NOT_INTEGER_IDS)
+@pytest.mark.parametrize("field", ["L", "w", "generator"])
+def test_verify_takes_json_integers_only(tmp_path, capsys, field, bad):
+    path = tmp_path / "code.json"
+    obj = {"L": 13, "w": 3, "generators": [1, 5]}
+    path.write_text(json.dumps(obj))
+    assert run(capsys, "verify", str(path))[0] == 0
+    if field == "generator":
+        obj["generators"][1] = bad
+    else:
+        obj[field] = bad
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "verify", str(path))
+    assert rc == 3
+    name = "generators must be integers" if field == "generator" else f"{field} must be an integer"
+    assert f"ParseError: malformed code ({name}, got {bad!r})" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS, ids=_NOT_INTEGER_IDS)
+@pytest.mark.parametrize("field", ["L", "w", "best_size", "generator"])
+def test_catalog_takes_json_integers_only(tmp_path, capsys, field, bad):
+    path, cat = tmp_path / "entry.json", tmp_path / "c.jsonl"
+    obj = {"L": 15, "w": 3, "best_size": 4, "source": "x", "generators": [1, 3, 4, 5]}
+    if field == "generator":
+        obj["generators"][2] = bad
+    else:
+        obj[field] = bad
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "catalog", "update", str(path), "--catalog", str(cat))
+    assert rc == 3
+    name = "generators must be integers" if field == "generator" else f"{field} must be an integer"
+    assert f"ParseError: malformed catalog entry ({name}, got {bad!r})" in err
+    assert "Traceback" not in out + err
+    assert not cat.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tight", "no"), ("optimal_by_oracle", "maybe"), ("oracle_max", "x"),
+])
+def test_theorem2_rejects_certificate_fields_of_the_wrong_type(tmp_path, capsys, field,
+                                                               value):
+    c5, c13 = _theorem2_inputs(tmp_path, capsys)
+    obj = json.loads(c5.read_text())
+    if field == "oracle_max":
+        obj[field] = value
+    else:
+        obj["flags"][field] = value
+    c5.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "construct", "theorem2", "--cert1", str(c5), "--cert2", str(c13))
+    assert rc == 3
+    assert f"ParseError: malformed certificate ({field} must be" in err
+    assert "Traceback" not in out + err

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from cacforge.errors import (
     HeterogeneousCode,
     NotACac,
     NotExceptional,
+    ParseError,
 )
 
 
@@ -66,6 +68,71 @@ def test_difference_set_rejects(elements, message):
     with pytest.raises(ValueError, match=message):
         DifferenceSet(13, frozenset(elements))
     assert DifferenceSet(13, frozenset({1, 12, 2, 11})).elements == {1, 2, 11, 12}
+
+
+def _assert_trusted_build(L, w, g):
+    """difference_set skips DifferenceSet's checks; its result must still pass them."""
+    d = difference_set(EquiDiffCodeword(L, w, g))
+    brute = frozenset(sign * j * g % L for j in range(1, w) for sign in (1, -1))
+    assert type(d) is DifferenceSet
+    assert d.length == L and d.elements == brute
+    checked = DifferenceSet(L, brute)  # the public constructor accepts it
+    assert d == checked and hash(d) == hash(checked)
+    assert all(1 <= x <= L - 1 and L - x in d.elements for x in d.elements)
+
+
+def test_difference_set_matches_brute_force_for_every_small_codeword():
+    cases = 0
+    for L in range(2, 61):
+        for w in range(2, L + 1):
+            for g in range(1, L):
+                if L // math.gcd(L, g) >= w:
+                    _assert_trusted_build(L, w, g)
+                    cases += 1
+    assert cases == 51616
+
+
+@st.composite
+def _large_codewords(draw):
+    L = draw(st.integers(2, 10**6))
+    orders = [m for m in range(2, 81) if L % m == 0]
+    if orders and draw(st.booleans()):
+        # a generator of small additive order m, so exceptional codewords occur
+        m = draw(st.sampled_from(orders))
+        g = L // m * draw(st.integers(1, m - 1))
+    else:
+        g = draw(st.integers(1, L - 1))
+    w = draw(st.integers(2, min(L // math.gcd(L, g), 40)))
+    return L, w, g
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=_large_codewords())
+def test_difference_set_trusted_build_at_large_length(case):
+    _assert_trusted_build(*case)
+
+
+def test_difference_set_runs_no_check_but_the_public_constructor_does(monkeypatch):
+    checked = []
+    check = DifferenceSet.__post_init__
+
+    def counting(self):
+        checked.append(self.length)
+        check(self)
+
+    monkeypatch.setattr(DifferenceSet, "__post_init__", counting)
+    d = difference_set(EquiDiffCodeword(919, 4, 7))
+    assert verify_cac(construct_lemma1(13, 3).code).covered == 12
+    assert checked == []
+    with pytest.raises(FrozenInstanceError):
+        d.length = 5
+    assert DifferenceSet(919, d.elements) == d
+    assert checked == [919]
+    support_difference_set(9, frozenset({0, 1, 3}))
+    assert checked == [919, 9]
+    with pytest.raises(ValueError, match="not closed"):
+        DifferenceSet(13, frozenset({1}))
+    assert checked == [919, 9, 13]
 
 
 def test_exceptional():
@@ -215,3 +282,32 @@ def test_certificate_roundtrip():
 def test_certificate_bound_floor_matches_bound():
     cert = construct_lemma1(5, 3)
     assert cert.bound_floor == new_bound(5, 3).floor_value == 1
+
+
+def test_certificate_accepts_oracle_fields():
+    obj = json.loads(json.dumps(construct_lemma1(13, 3).to_json()))
+    obj["flags"]["optimal_by_oracle"] = True
+    obj["oracle_max"] = 3
+    cert = Certificate.from_json(obj)
+    assert cert.flags == CertFlags(True, True, True, True)
+    assert cert.oracle_max == 3
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("verified_cac", "yes", "verified_cac must be true, false or null, got 'yes'"),
+    ("tight", "no", "tight must be true, false or null, got 'no'"),
+    ("optimal_by_bound", 1, "optimal_by_bound must be true, false or null, got 1"),
+    ("optimal_by_oracle", "maybe", "optimal_by_oracle must be true, false or null, got 'maybe'"),
+    ("oracle_max", "x", "oracle_max must be an integer, got 'x'"),
+    ("oracle_max", 3.0, "oracle_max must be an integer, got 3.0"),
+    ("oracle_max", True, "oracle_max must be an integer, got True"),
+])
+def test_certificate_flags_are_strict(field, value, message):
+    obj = json.loads(json.dumps(construct_lemma1(13, 3).to_json()))
+    if field == "oracle_max":
+        obj[field] = value
+    else:
+        obj["flags"][field] = value
+    with pytest.raises(ParseError) as ei:
+        Certificate.from_json(obj)
+    assert str(ei.value) == f"malformed certificate ({message})"

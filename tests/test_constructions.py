@@ -154,6 +154,19 @@ for build in (lambda: construct_lemma1(17, 3),
         build()
     except SdrConditionFailed as e:
         print("SdrConditionFailed:", e, sorted(e.coset))
+import json
+from cacforge.cli import _normalize_entry
+from cacforge.codes import Certificate, code_from_json
+from cacforge.errors import ParseError
+cert = json.loads(json.dumps(construct_lemma1(13, 3).to_json()))
+cert["flags"]["tight"] = "no"
+for parse, obj in ((code_from_json, {"L": 13.5, "w": 3, "generators": [1]}),
+                   (Certificate.from_json, cert),
+                   (_normalize_entry, {"L": 13, "w": 3, "best_size": 3, "source": {"a": [1]}})):
+    try:
+        parse(obj)
+    except ParseError as e:
+        print("ParseError:", e)
 """
 
 
@@ -170,6 +183,9 @@ def test_subgroup_order_and_difference_set_checks_survive_python_O(optimize):
         "[1, 2, 4, 8, 9, 13, 15, 16]",
         "SdrConditionFailed: 1..3 is not an SDR of the cosets of <27> in <4> mod 37 "
         "[9, 12, 16, 21, 25, 28]",
+        "ParseError: malformed code (L must be an integer, got 13.5)",
+        "ParseError: malformed certificate (tight must be true, false or null, got 'no')",
+        "ParseError: malformed catalog entry (source must be a string, got {'a': [1]})",
     ]
 
 

@@ -18,7 +18,14 @@ from itertools import combinations, product
 from math import comb
 
 from .codes import Code, EquiDiffCodeword, code_from_json, support, verify_cac
-from .errors import BudgetExceeded, DuplicateAssignment, NotACac, ParamMismatch, ParseError
+from .errors import (
+    BudgetExceeded,
+    DuplicateAssignment,
+    NotACac,
+    ParamMismatch,
+    ParseError,
+    json_int,
+)
 
 EXHAUSTIVE_BUDGET = 5_000_000
 
@@ -79,14 +86,16 @@ class SimReport:
 
 
 def scenario_from_json(obj: dict) -> Scenario:
+    what = "scenario"
     try:
         sc = Scenario(
             code=code_from_json(obj["code"]),
-            active=tuple((int(e["idx"]), int(e["delay"])) for e in obj.get("active", [])),
-            seed=int(obj.get("seed", 0)),
-            trials=int(obj.get("trials", 0)),
+            active=tuple((json_int(e["idx"], "idx", what), json_int(e["delay"], "delay", what))
+                         for e in obj.get("active", [])),
+            seed=json_int(obj.get("seed", 0), "seed", what),
+            trials=json_int(obj.get("trials", 0), "trials", what),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError) as e:
         raise ParseError(f"malformed scenario ({type(e).__name__}: {e})") from e
     if sc.trials < 0:
         raise ParseError(f"trials must be >= 0, got {sc.trials}")

@@ -26,9 +26,6 @@ from .codes import (
     Certificate,
     Code,
     code_from_json,
-    json_flag,
-    json_int,
-    json_ints,
     verify_cac,
 )
 from .constructions import (
@@ -38,7 +35,15 @@ from .constructions import (
     construct_theorem2,
     construct_two_prime,
 )
-from .errors import BudgetExceeded, CacError, ParseError, UnsupportedWeight
+from .errors import (
+    BudgetExceeded,
+    CacError,
+    ParseError,
+    UnsupportedWeight,
+    json_flag,
+    json_int,
+    json_ints,
+)
 from .oracle import DEFAULT_NODE_BUDGET, max_equi_diff_cac
 
 

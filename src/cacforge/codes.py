@@ -19,6 +19,9 @@ from .errors import (
     NotACac,
     NotExceptional,
     ParseError,
+    json_flag,
+    json_int,
+    json_ints,
 )
 
 
@@ -195,24 +198,6 @@ def code_to_json(code: Code) -> dict:
     }
 
 
-def json_int(value, name: str, what: str) -> int:
-    """value if it is a JSON integer; a bool, float, string or other is a ParseError."""
-    if type(value) is not int:
-        raise ParseError(f"malformed {what} ({name} must be an integer, got {value!r})")
-    return value
-
-
-def json_ints(values, name: str, what: str) -> list[int]:
-    """values if it is a JSON list of integers, else a ParseError."""
-    if type(values) is not list:
-        raise ParseError(f"malformed {what} ({name} must be a list, got {values!r})")
-    # one pass over the types in C; the offender is looked for only on failure
-    if not set(map(type, values)) <= {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise ParseError(f"malformed {what} ({name} must be integers, got {bad!r})")
-    return values
-
-
 def code_from_json(obj: dict) -> Code:
     try:
         L, w, gens = obj["L"], obj["w"], obj["generators"]
@@ -220,14 +205,6 @@ def code_from_json(obj: dict) -> Code:
         raise ParseError(f"malformed code ({type(e).__name__}: {e})") from e
     return Code.from_generators(json_int(L, "L", "code"), json_int(w, "w", "code"),
                                 json_ints(gens, "generators", "code"))
-
-
-def json_flag(value, name: str, what: str) -> bool | None:
-    """A JSON true, false or null, returned as is; anything else is a ParseError."""
-    if value is not None and type(value) is not bool:
-        raise ParseError(f"malformed {what} ({name} must be true, false or null, "
-                         f"got {value!r})")
-    return value
 
 
 @dataclass(frozen=True)
@@ -274,6 +251,10 @@ class Certificate:
         try:
             f = obj["flags"]
             oracle_max = obj.get("oracle_max")
+            params = obj.get("params", {})
+            if type(params) is not dict:
+                raise ParseError(f"malformed certificate (params must be an object, "
+                                 f"got {params!r})")
             return cls(
                 code=code_from_json(obj["code"]),
                 bound=BoundReport.from_json(obj["bound"]),
@@ -282,7 +263,7 @@ class Certificate:
                       for k in ("verified_cac", "tight", "optimal_by_bound")),
                     json_flag(f.get("optimal_by_oracle"), "optimal_by_oracle", "certificate"),
                 ),
-                params=dict(obj.get("params", {})),
+                params=dict(params),
                 oracle_max=(None if oracle_max is None
                             else json_int(oracle_max, "oracle_max", "certificate")),
             )

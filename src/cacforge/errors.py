@@ -1,4 +1,4 @@
-"""Typed errors shared across the package.
+"""Typed errors shared across the package, and the JSON type checks that raise them.
 
 Every failed precondition raises a distinct class so callers (and the CLI
 exit-code mapping) can tell a bad parameter from a failed construction
@@ -124,3 +124,29 @@ class BudgetExceeded(CacError):
         self.size = size
         self.nodes = nodes
         self.exact = False
+
+
+def json_int(value, name: str, what: str) -> int:
+    """value if it is a JSON integer; a bool, float, string or other is a ParseError."""
+    if type(value) is not int:
+        raise ParseError(f"malformed {what} ({name} must be an integer, got {value!r})")
+    return value
+
+
+def json_ints(values, name: str, what: str) -> list[int]:
+    """values if it is a JSON list of integers, else a ParseError."""
+    if type(values) is not list:
+        raise ParseError(f"malformed {what} ({name} must be a list, got {values!r})")
+    # one pass over the types in C; the offender is looked for only on failure
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ParseError(f"malformed {what} ({name} must be integers, got {bad!r})")
+    return values
+
+
+def json_flag(value, name: str, what: str) -> bool | None:
+    """A JSON true, false or null, returned as is; anything else is a ParseError."""
+    if value is not None and type(value) is not bool:
+        raise ParseError(f"malformed {what} ({name} must be true, false or null, "
+                         f"got {value!r})")
+    return value

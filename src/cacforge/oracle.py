@@ -20,6 +20,15 @@ order of Tomita's MCQ/MCS and San Segundo's BBMC). At (671, 11), 331
 vertices in 3 orbits, the search proves the maximum of 32 in 36,078
 nodes (107,709 without orbits or the order), and (504, 9) finishes
 exact at 16 in about 2.1 million nodes.
+
+The search stops as soon as the incumbent reaches a volume ceiling. A
+clique is a family of disjoint subsets of Z_L minus 0, so it has no more
+members than the smallest difference sets that fit into L - 1 elements
+together. At prime L that is the floor (L - 1)/(2w - 2) which theorem 1
+meets: the stop cuts (241, 4) from 307 nodes to 80 and (229, 3) from
+2,916 to 1,490. Where the maximum lies below the ceiling, as at
+(671, 11) (ceiling 34) and (504, 9) (ceiling 32), the tree is searched
+to its end and the node counts above stand.
 """
 
 from __future__ import annotations
@@ -62,14 +71,20 @@ class DisjointnessGraph:
 
 
 def _disjointness_rows(sets) -> tuple[int, ...]:
-    """Bitmask rows: bit j of row i set iff sets i and j are disjoint."""
-    adj = [0] * len(sets)
-    for i, a in enumerate(sets):
-        for j in range(i + 1, len(sets)):
-            if a.isdisjoint(sets[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return tuple(adj)
+    """Bitmask rows: bit j of row i set iff i != j and sets i and j are disjoint."""
+    holders: dict = {}  # element -> mask of the sets holding it
+    for i, s in enumerate(sets):
+        bit = 1 << i
+        for x in s:
+            holders[x] = holders.get(x, 0) | bit
+    full = (1 << len(sets)) - 1
+    rows = []
+    for i, s in enumerate(sets):
+        meet = 1 << i
+        for x in s:
+            meet |= holders[x]
+        rows.append(full ^ meet)
+    return tuple(rows)
 
 
 def build_graph(L: int, w: int) -> DisjointnessGraph:
@@ -89,24 +104,31 @@ def build_graph(L: int, w: int) -> DisjointnessGraph:
     return DisjointnessGraph(L, w, vertices, generators, _disjointness_rows(vertices))
 
 
-def _greedy_color(P: int, adj, kmin: int) -> tuple[list[int], list[int]]:
+def _greedy_color(P: int, non, kmin: int) -> tuple[list[int], list[int]]:
     # partition P into independent sets; a clique takes <= 1 vertex per class.
-    # Vertices colored below kmin cannot beat the incumbent and are not listed.
+    # non[v] clears v and its neighbours. The first kmin - 1 classes cannot
+    # beat the incumbent, so they are peeled off without being listed.
     order: list[int] = []
     colors: list[int] = []
     color = 0
     rest = P
+    while rest and color < kmin - 1:
+        color += 1
+        avail = rest
+        while avail:
+            low = avail & -avail
+            avail &= non[low.bit_length() - 1]
+            rest ^= low
     while rest:
         color += 1
         avail = rest
         while avail:
             low = avail & -avail
             v = low.bit_length() - 1
-            avail = (avail & ~adj[v]) ^ low
+            avail &= non[v]
             rest ^= low
-            if color >= kmin:
-                order.append(v)
-                colors.append(color)
+            order.append(v)
+            colors.append(color)
     return order, colors
 
 
@@ -115,15 +137,42 @@ def _by_degree(adj, P: int) -> tuple[list[int], list[int]]:
     restricted to P, relabelled to positions in that order."""
     verts = [v for v in range(len(adj)) if P >> v & 1]
     verts.sort(key=lambda v: -(adj[v] & P).bit_count())  # stable: ties keep vertex order
-    rows = [sum(1 << k for k, u in enumerate(verts) if adj[v] >> u & 1) for v in verts]
+    # relabel through bit strings: bits[u] is bit u of adj[v], and the string
+    # given to int() lists the positions from the highest down
+    width, back = len(adj), verts[::-1]
+    rows = []
+    for v in verts:
+        bits = format(adj[v], f"0{width}b")[::-1]
+        rows.append(int("".join([bits[u] for u in back]), 2))
     return verts, rows
 
 
-def _max_clique(adj, orbits, budget: int) -> tuple[int, list[int], int]:
+def _volume_ceiling(sizes, L: int) -> int:
+    """Largest k such that the k smallest sets hold at most L - 1 elements.
+
+    A clique is a family of disjoint difference sets inside Z_L minus 0,
+    so no clique is larger. At prime L >= 2w - 1 every set has 2w - 2
+    elements and this is the floor (L - 1)/(2w - 2).
+    """
+    room = L - 1
+    k = 0
+    for size in sorted(sizes):
+        room -= size
+        if room < 0:
+            break
+        k += 1
+    return k
+
+
+def _max_clique(adj, orbits, budget: int, ceiling: int) -> tuple[int, list[int], int]:
     """Exact maximum clique over the bitmask adjacency; returns (size, members, nodes).
 
     orbits partitions the vertices into automorphism orbits, taken in the
     given order; singleton orbits give the search without symmetry breaking.
+    ceiling bounds every clique's size (len(adj) always does); the search
+    stops as soon as the incumbent reaches it. The incumbent changes only
+    on a strict improvement, so the members are those the exhaustive
+    search would return.
     """
     if not adj:
         return 0, [], 0
@@ -140,32 +189,35 @@ def _max_clique(adj, orbits, budget: int) -> tuple[int, list[int], int]:
     nodes = 0
     current: list[int] = []  # members in the caller's vertex labels
 
-    def expand(size: int, P: int, rows, verts) -> None:
+    def expand(size: int, P: int, rows, non, verts) -> None:
         nonlocal nodes, best, best_size
         if nodes == budget:
             raise BudgetExceeded(
                 f"node budget {budget} exhausted", best=list(best), size=best_size, nodes=nodes
             )
         nodes += 1
-        order, colors = _greedy_color(P, rows, best_size - size + 1)
+        order, colors = _greedy_color(P, non, best_size - size + 1)
         work = P
         for i in range(len(order) - 1, -1, -1):
             if size + colors[i] <= best_size:
                 return
             v = order[i]
-            bit = 1 << v
-            work &= ~bit
+            work ^= 1 << v
             current.append(verts[v])
             sub = work & rows[v]
             if sub:
-                expand(size + 1, sub, rows, verts)
+                expand(size + 1, sub, rows, non, verts)
             elif size + 1 > best_size:
                 best = current.copy()
                 best_size = size + 1
             current.pop()
+            if best_size >= ceiling:
+                return
 
     excluded = 0
     for orbit in orbits:
+        if best_size >= ceiling:
+            break
         r = orbit[0]
         P = adj[r] & ~excluded
         for v in orbit:
@@ -174,8 +226,9 @@ def _max_clique(adj, orbits, budget: int) -> tuple[int, list[int], int]:
         if 1 + P.bit_count() <= best_size:
             continue
         verts, rows = _by_degree(adj, P)
+        non = [~(row | 1 << k) for k, row in enumerate(rows)]
         current.append(r)
-        expand(1, (1 << len(verts)) - 1, rows, verts)
+        expand(1, (1 << len(verts)) - 1, rows, non, verts)
         current.pop()
     return best_size, best, nodes
 
@@ -213,8 +266,9 @@ def max_equi_diff_cac(
     if L > cap:
         raise BudgetExceeded(f"L = {L} above cap {cap} for w = {w}; pass cap to override")
     graph = build_graph(L, w)
+    ceiling = _volume_ceiling(map(len, graph.vertices), L)
     try:
-        size, members, nodes = _max_clique(graph.adjacency, graph.unit_orbits(), budget)
+        size, members, nodes = _max_clique(graph.adjacency, graph.unit_orbits(), budget, ceiling)
     except BudgetExceeded as e:
         if e.best is not None:
             gens = [graph.generators[i] for i in e.best]
@@ -261,9 +315,11 @@ def max_general_cac(
         if ds not in seen:
             seen[ds] = sup
     items = sorted(seen.items(), key=lambda t: (-len(t[0]), sorted(t[1])))
-    adj = _disjointness_rows([ds for ds, _ in items])
+    sets = [ds for ds, _ in items]
+    adj = _disjointness_rows(sets)
+    ceiling = _volume_ceiling(map(len, sets), L)
     try:
-        size, members, _ = _max_clique(adj, [[i] for i in range(len(adj))], budget)
+        size, members, _ = _max_clique(adj, [[i] for i in range(len(adj))], budget, ceiling)
     except BudgetExceeded as e:
         e.best = [items[i][1] for i in e.best]
         raise

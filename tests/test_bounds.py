@@ -14,7 +14,7 @@ from cacforge.bounds import (
     prime_divisor_bound,
     subset_excess_bound,
 )
-from cacforge.errors import InconsistentClaim, UnsupportedWeight
+from cacforge.errors import InconsistentClaim, ParseError, UnsupportedWeight
 
 
 def test_omega():
@@ -76,6 +76,17 @@ def test_bound_report_json_roundtrip():
     edited = dict(r.to_json(), floor=99)
     with pytest.raises(InconsistentClaim):
         BoundReport.from_json(edited)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("floor", 1.9), ("floor", 1.0), ("excess", "0"), ("L", True), ("omega_star", [5.0]),
+    ("raw", "4/4.0"), ("raw", "4/0"),
+])
+def test_bound_report_json_takes_integers_only(field, value):
+    # a p = 5 lemma-1 bound; int() once read 1.9 and "0" as 1 and 0
+    obj = dict(new_bound(5, 3).to_json(), **{field: value})
+    with pytest.raises(ParseError, match=f"malformed bound \\({field}"):
+        BoundReport.from_json(obj)
 
 
 def test_corollary1():

@@ -278,7 +278,8 @@ def test_search_bad_witness_exit(capsys, monkeypatch):
 
     g = oracle.build_graph(13, 3)
     j = next(j for j in range(1, len(g.vertices)) if not g.adjacency[0] >> j & 1)
-    monkeypatch.setattr(oracle, "_max_clique", lambda adj, orbits, budget: (2, [0, j], 1))
+    monkeypatch.setattr(oracle, "_max_clique",
+                        lambda adj, orbits, budget, ceiling: (2, [0, j], 1))
     rc, _, err = run(capsys, "search", "13", "3")
     assert rc == 3
     assert "NotACac" in err
@@ -587,8 +588,8 @@ def test_verify_tight_matches_is_tight(tmp_path_factory, code):
     assert json.loads(out)["tight"] is is_tight(code)
 
 
-# a JSON number beyond the float range parses to inf: a code or catalog field
-# takes JSON integers only, and the int() of a bound or seed cannot convert it
+# a JSON number beyond the float range parses to inf: a code, bound, scenario or
+# catalog field takes JSON integers only
 @pytest.mark.parametrize("command", ["verify", "simulate", "theorem2", "catalog"])
 def test_json_number_overflow_is_a_parse_error(tmp_path, capsys, command):
     big = tmp_path / "big.json"
@@ -608,9 +609,8 @@ def test_json_number_overflow_is_a_parse_error(tmp_path, capsys, command):
     assert "1e400" in big.read_text()
     rc, out, err = run(capsys, *argv)
     assert rc == 3
-    strict = command in ("verify", "catalog")
     assert "ParseError" in err
-    assert ("must be an integer, got inf" if strict else "OverflowError") in err
+    assert "must be an integer, got inf" in err
     assert "Traceback" not in out + err
 
 
@@ -747,12 +747,13 @@ def test_catalog_takes_json_integers_only(tmp_path, capsys, field, bad):
 
 @pytest.mark.parametrize("field, value", [
     ("tight", "no"), ("optimal_by_oracle", "maybe"), ("oracle_max", "x"),
+    ("params", [["method", "lemma1"], ["p", 5]]),
 ])
 def test_theorem2_rejects_certificate_fields_of_the_wrong_type(tmp_path, capsys, field,
                                                                value):
     c5, c13 = _theorem2_inputs(tmp_path, capsys)
     obj = json.loads(c5.read_text())
-    if field == "oracle_max":
+    if field in ("oracle_max", "params"):
         obj[field] = value
     else:
         obj["flags"][field] = value
@@ -761,3 +762,73 @@ def test_theorem2_rejects_certificate_fields_of_the_wrong_type(tmp_path, capsys,
     assert rc == 3
     assert f"ParseError: malformed certificate ({field} must be" in err
     assert "Traceback" not in out + err
+
+
+_SCENARIO_9_3 = {"code": _CODE_9_3, "active": [{"idx": 0, "delay": 1}, {"idx": 1, "delay": 4}],
+                 "seed": 5, "trials": 0}
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS, ids=_NOT_INTEGER_IDS)
+@pytest.mark.parametrize("field", ["idx", "delay", "seed", "trials"])
+def test_simulate_takes_json_integers_only(tmp_path, capsys, field, bad):
+    path = tmp_path / "scenario.json"
+    obj = json.loads(json.dumps(_SCENARIO_9_3))
+    path.write_text(json.dumps(obj))
+    assert run(capsys, "simulate", str(path))[0] == 0
+    if field in ("idx", "delay"):
+        obj["active"][1][field] = bad
+    else:
+        obj[field] = bad
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "simulate", str(path))
+    assert rc == 3
+    assert f"ParseError: malformed scenario ({field} must be an integer, got {bad!r})" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS, ids=_NOT_INTEGER_IDS)
+@pytest.mark.parametrize("field", ["L", "w", "excess", "floor", "omega", "omega_star"])
+def test_theorem2_takes_json_integers_only_in_the_bound(tmp_path, capsys, field, bad):
+    c5, c13 = _theorem2_inputs(tmp_path, capsys)
+    obj = json.loads(c5.read_text())
+    if field in ("omega", "omega_star"):
+        obj["bound"][field] = [bad]
+        name = f"{field} must be integers"
+    else:
+        obj["bound"][field] = bad
+        name = f"{field} must be an integer"
+    c5.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "construct", "theorem2", "--cert1", str(c5), "--cert2", str(c13))
+    assert rc == 3
+    assert f"ParseError: malformed bound ({name}, got {bad!r})" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("raw", [
+    "4.0/4", "4/4.0", "true/4", "4/x", " 4/4", "+4/4", "04/4", "4_0/4", "4", "4/4/4", 1, ["4", "4"],
+])
+def test_theorem2_takes_json_integers_only_in_the_raw_bound(tmp_path, capsys, raw):
+    c5, c13 = _theorem2_inputs(tmp_path, capsys)
+    obj = json.loads(c5.read_text())
+    obj["bound"]["raw"] = raw
+    c5.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, "construct", "theorem2", "--cert1", str(c5), "--cert2", str(c13))
+    assert rc == 3
+    assert f"ParseError: malformed bound (raw must be two integers joined by '/', got {raw!r})" in err
+    assert "Traceback" not in out + err
+
+
+def test_theorem2_rejects_a_zero_bound_denominator(tmp_path, capsys):
+    c5, c13 = _theorem2_inputs(tmp_path, capsys)
+    c5.write_text(c5.read_text().replace('"4/4"', '"4/0"'))
+    rc, out, err = run(capsys, "construct", "theorem2", "--cert1", str(c5), "--cert2", str(c13))
+    assert rc == 3
+    assert "ParseError: malformed bound (raw denominator must be positive, got '4/0')" in err
+    assert "Traceback" not in out + err
+
+
+def test_theorem2_reads_well_formed_certificates_unchanged(tmp_path, capsys):
+    c5, c13 = _theorem2_inputs(tmp_path, capsys)
+    for path in (c5, c13):
+        obj = json.loads(path.read_text())
+        assert Certificate.from_json(obj).to_json() == obj

@@ -5,13 +5,19 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cacforge
 from cacforge.bounds import new_bound
 from cacforge.codes import Code, verify_cac
 from cacforge.constructions import construct_lemma1
 from cacforge.errors import BudgetExceeded
+from cacforge.numtheory import is_prime
 from cacforge.oracle import (
+    _disjointness_rows,
+    _max_clique,
+    _volume_ceiling,
     build_graph,
     certify,
     max_equi_diff_cac,
@@ -102,14 +108,82 @@ def test_oracle_671_11_exact():
 
 
 def test_oracle_671_11_node_count():
-    # machine-independent cost pin: 107,709 nodes without symmetry breaking
-    assert max_equi_diff_cac(671, 11, budget=40_000_000, cap=700).nodes < 60_000
+    # machine-independent cost pin: 107,709 nodes without symmetry breaking;
+    # the volume ceiling (34) is above the maximum, so the search exhausts its tree
+    assert max_equi_diff_cac(671, 11, budget=40_000_000, cap=700).nodes == 36_078
 
 
 def test_oracle_budget_reports_nodes():
     with pytest.raises(BudgetExceeded) as ei:
         max_equi_diff_cac(199, 3, budget=5)
     assert ei.value.nodes == 5
+
+
+def _ceiling(L, w):
+    return _volume_ceiling(map(len, build_graph(L, w).vertices), L)
+
+
+def test_volume_ceiling_bounds_the_sweep():
+    # the criterion-3 sweep: no maximum exceeds the ceiling, which is the
+    # counting floor (p - 1)/(2w - 2) at prime lengths
+    for w, cap in [(3, 80), (4, 60), (5, 60)]:
+        for L in range(w, cap + 1):
+            ceiling = _ceiling(L, w)
+            assert max_equi_diff_cac(L, w).size <= ceiling, (L, w)
+            if is_prime(L) and L >= 2 * w - 1:
+                assert ceiling == (L - 1) // (2 * w - 2), (L, w)
+
+
+def test_volume_ceiling_counts_the_smallest_sets():
+    assert _volume_ceiling([], 9) == 0
+    assert _volume_ceiling([4, 2, 2], 9) == 3  # 2 + 2 + 4 = 8
+    assert _volume_ceiling([4, 4, 2], 9) == 2  # 2 + 4 fit, a further 4 does not
+    assert _volume_ceiling([9], 9) == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 110), st.integers(2, 6))
+@example(13, 3)  # the greedy incumbent already meets the ceiling
+@example(95, 3)  # 40 nodes with the stop, 56 without
+@example(109, 3)  # 26 nodes with the stop, 52 without
+def test_ceiling_stop_keeps_size_and_witness(L, w):
+    if L < w:
+        return
+    g = build_graph(L, w)
+    orbits = g.unit_orbits()
+    stopped = _max_clique(g.adjacency, orbits, 10**7, _ceiling(L, w))
+    exhausted = _max_clique(g.adjacency, orbits, 10**7, len(g.adjacency))
+    assert stopped[:2] == exhausted[:2]
+    assert stopped[2] <= exhausted[2]
+
+
+@pytest.mark.parametrize("L,w,most", [(13, 3, 0), (241, 4, 80), (229, 3, 1_490)])
+def test_ceiling_stop_node_pins(L, w, most):
+    # the maximum meets the floor here: 1, 307 and 2,916 nodes without the stop
+    res = max_equi_diff_cac(L, w, cap=L)
+    assert res.size == _ceiling(L, w) == new_bound(L, w).floor_value
+    assert res.nodes <= most
+
+
+@pytest.mark.parametrize("L,w,nodes", [(157, 4, 646), (193, 4, 1_776), (205, 4, 2_282)])
+def test_gap_instances_keep_their_node_counts(L, w, nodes):
+    # the maximum lies below the ceiling, so the whole tree is searched
+    res = max_equi_diff_cac(L, w, cap=L)
+    assert res.size < _ceiling(L, w)
+    assert res.nodes == nodes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(0, 15), max_size=5), max_size=24))
+@example([frozenset(), frozenset({1}), frozenset(), frozenset({1, 2})])
+def test_disjointness_rows_match_pairwise_reference(sets):
+    rows = _disjointness_rows(sets)
+    assert len(rows) == len(sets)
+    for i, a in enumerate(sets):
+        assert not rows[i] >> i & 1
+        for j, b in enumerate(sets):
+            if i != j:
+                assert bool(rows[i] >> j & 1) == a.isdisjoint(b), (i, j)
 
 
 def _difference_sets(L, w):
@@ -167,7 +241,7 @@ from cacforge.errors import NotACac
 assert False, "assertions must be off"
 g = o.build_graph(13, 3)
 j = next(j for j in range(1, len(g.vertices)) if not g.adjacency[0] >> j & 1)
-o._max_clique = lambda adj, orbits, budget: (2, [0, j], 1)
+o._max_clique = lambda adj, orbits, budget, ceiling: (2, [0, j], 1)
 try:
     o.max_equi_diff_cac(13, 3)
 except NotACac as e:

@@ -26,7 +26,8 @@ def omega(L: int, w: int) -> tuple[int, ...]:
     """Divisors of L in [w, 2w-1), ascending."""
     if L < 2 or w < 2:
         raise ValueError("need L >= 2 and w >= 2")
-    return tuple(d for d in range(w, 2 * w - 1) if L % d == 0)
+    # no divisor of L exceeds L, so a weight far above L scans nothing
+    return tuple(d for d in range(w, min(2 * w - 1, L + 1)) if L % d == 0)
 
 
 def omega_star(L: int, w: int) -> tuple[int, ...]:

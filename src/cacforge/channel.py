@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb
 
 from .codes import Code, EquiDiffCodeword, code_from_json, support, verify_cac
 from .errors import (
@@ -102,17 +100,13 @@ def scenario_from_json(obj: dict) -> Scenario:
     return sc
 
 
-def _alone(on_air: list[int]) -> tuple[int, int]:
-    # (slots anyone transmits in, slots exactly one user transmits in)
+def _run_once(on_air: list[int]) -> list[int]:
+    # each user's count of the slots that exactly one user transmits in
     once = twice = 0
     for m in on_air:
         twice |= once & m
         once |= m
-    return once, once & ~twice
-
-
-def _run_once(on_air: list[int]) -> list[int]:
-    alone = _alone(on_air)[1]
+    alone = once & ~twice
     return [(m & alone).bit_count() for m in on_air]
 
 
@@ -171,49 +165,45 @@ def verify_irrepressibility_exhaustive(
     """True iff every k-subset of users with every delay tuple leaves
     every active user at least one success slot per period.
 
-    The first user's delay is pinned to 0 (cyclic symmetry), so the
-    enumeration size is C(|code|, k) * L^(k-1); anything above budget
-    raises BudgetExceeded. No CAC precondition: the point is to observe
-    guarantee failures on corrupted codes too.
-
-    The last user's L delays are tested at once, as one L-bit mask of the
-    delays at which somebody is left without a clean slot.
+    User i is left without one iff the other k-1 users cover all w of its
+    slots. With i at delay 0, user j at delay d covers slot s of i iff
+    s - d lies in j's support, so only the delays d = s - t with t in that
+    support matter, and the users' delays are independent. Per user i, a
+    DP over the other users keeps each covered subset of i's slots (a
+    w-bit mask) with the fewest users that cover it, up to k-1. Adding a
+    user never uncovers a slot, so the code fails iff some user's full
+    mask is reached. The n (n-1) 2^w DP states are checked against budget
+    before any work; anything above it raises BudgetExceeded. No CAC
+    precondition: the point is to observe guarantee failures on corrupted
+    codes too.
     """
     if not 1 <= k <= code.weight:
         raise ValueError(f"k must be in 1..w = {code.weight}, got {k}")
     n, L = len(code), code.length
-    total = comb(n, k) * L ** (k - 1)
-    if total > budget:
-        raise BudgetExceeded(f"{total} combinations exceed budget {budget}")
-    masks = [to_protocol_sequence(cw).mask for cw in code.codewords]
-    if k == 1:
-        return all(m != 0 for m in masks)
-
-    full = (1 << L) - 1
-    rot = [[_rot(m, -d, L, full) for d in range(L)] for m in masks]
-    shifts = [support(cw) - {0} for cw in code.codewords]
-    # hit[c][t]: the delays at which user c transmits in slot t
-    mirrored = [sum(1 << -s % L for s in support(cw)) for cw in code.codewords]
-    hit = [[_rot(m, -t, L, full) for t in range(L)] for m in mirrored]
-
-    for placed in combinations(range(n - 1), k - 1):
-        for delays in product(range(L), repeat=k - 2):
-            on_air = [rot[i][d] for i, d in zip(placed, (0,) + delays)]
-            union, alone = _alone(on_air)
-            for c in range(placed[-1] + 1, n):
-                # drowned at d: every slot s + d of c lies in union, so bad needs no cut to L bits
-                bad = union
-                for s in shifts[c]:
-                    bad &= (union >> s) | (union << (L - s))
-                # blanking at d: c covers every clear slot of a placed user
-                for m in on_air:
-                    r = m & alone
-                    blank = full
-                    while r and blank:
-                        low = r & -r
-                        blank &= hit[c][low.bit_length() - 1]
-                        r ^= low
-                    bad |= blank
-                if bad:
-                    return False
+    if k == 1 or n < k:
+        return True
+    states = n * (n - 1) * 2 ** code.weight
+    if states > budget:
+        raise BudgetExceeded(f"{states} DP states exceed budget {budget}")
+    slots = [sorted(support(cw)) for cw in code.codewords]
+    for i, mine in enumerate(slots):
+        full = (1 << len(mine)) - 1
+        fewest = {0: 0}
+        for j, theirs in enumerate(slots):
+            if j == i:
+                continue
+            at = {}  # delay of j -> the slots of i it covers there
+            for b, s in enumerate(mine):
+                for t in theirs:
+                    d = (s - t) % L
+                    at[d] = at.get(d, 0) | 1 << b
+            covers = set(at.values())
+            # a snapshot, so that j joins each covering set at most once
+            for mask, used in list(fewest.items()):
+                if used < k - 1:
+                    for c in covers:
+                        if fewest.get(mask | c, k) > used + 1:
+                            fewest[mask | c] = used + 1
+            if full in fewest:
+                return False
     return True

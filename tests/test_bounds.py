@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,17 @@ def test_new_bound_pins():
     assert (r.excess, r.floor_value) == (10, 34)
     # raw fraction is kept unreduced
     assert new_bound(21, 3).to_json()["raw"] == "22/4"
+
+
+def test_omega_at_a_weight_far_above_the_length():
+    for L in range(2, 40):
+        for w in range(2, 60):
+            assert omega(L, w) == tuple(d for d in range(w, 2 * w - 1) if L % d == 0)
+    # the scan stops at L, so its cost does not grow with w
+    t0 = time.perf_counter()
+    r = new_bound(13, 10**8)
+    assert (r.omega, r.excess, r.floor_value) == ((), 0, 0)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_new_bound_report_shape(rng):

@@ -18,7 +18,9 @@ from cacforge.channel import (
 )
 from cacforge.codes import Code, EquiDiffCodeword, support
 from cacforge.constructions import (
+    Theorem1Params,
     construct_lemma1,
+    construct_theorem1,
     construct_theorem2,
     construct_two_prime,
 )
@@ -152,7 +154,7 @@ def test_irrepressibility_budget():
     code = construct_theorem2(
         construct_lemma1(5, 3), construct_lemma1(13, 3)
     ).code
-    # 16 users, k = 3: C(16,3) * 65^2 is about 2.4M delay combinations
+    # 16 users, w = 3: 16 * 15 * 2^3 = 1,920 DP states
     with pytest.raises(BudgetExceeded):
         verify_irrepressibility_exhaustive(code, 3, budget=1000)
     assert EXHAUSTIVE_BUDGET == 5_000_000
@@ -160,10 +162,30 @@ def test_irrepressibility_budget():
 
 def test_irrepressibility_small_budget_boundary():
     code = Code.from_generators(9, 3, [1, 3])
-    # C(2,2) * 9 = 9 combinations exactly
-    assert verify_irrepressibility_exhaustive(code, 2, budget=9)
+    # 2 users, w = 3: 2 * 1 * 2^3 = 16 DP states exactly
+    assert verify_irrepressibility_exhaustive(code, 2, budget=16)
     with pytest.raises(BudgetExceeded):
-        verify_irrepressibility_exhaustive(code, 2, budget=8)
+        verify_irrepressibility_exhaustive(code, 2, budget=15)
+
+
+def test_irrepressibility_with_fewer_users_than_k():
+    # no k-subset exists, so nobody can be blanked: not even the translate
+    # pair that fails at k = 2
+    assert verify_irrepressibility_exhaustive(Code.from_generators(9, 3, [1, 8]), 3)
+    assert verify_irrepressibility_exhaustive(Code(9, 3, ()), 2)
+
+
+def test_irrepressibility_reaches_919_4():
+    # 153 users: 153 * 152 * 2^4 = 372,096 DP states, against
+    # C(153, 4) * 919^3, about 1.7e16, delay tuples
+    code = construct_theorem1(Theorem1Params(919, 4, 51, 3, 7)).code
+    assert verify_irrepressibility_exhaustive(code, 4)
+    gens = list(code.generators)
+    gens[0] = 2 * gens[1] % code.length
+    bad = Code.from_generators(code.length, code.weight, gens)
+    # the clashing pair shares 2 of 4 slots at most, so blanking needs a third user
+    assert verify_irrepressibility_exhaustive(bad, 2)
+    assert not verify_irrepressibility_exhaustive(bad, 3)
 
 
 def _irrepressible_by_brute_force(code, k):

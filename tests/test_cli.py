@@ -671,11 +671,12 @@ def cert_13_3(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("command", sorted(_FUZZ_TEMPLATES))
+@pytest.mark.parametrize("command", sorted(_FUZZ_TEMPLATES) + ["catalog-check", "catalog-show"])
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzzed_json_inputs_exit_0_or_3(cert_13_3, command, data):
-    obj = data.draw(st.one_of(*map(_like, _FUZZ_TEMPLATES[command])))
+    # catalog-check and catalog-show read the fuzzed entry as a one-line JSONL catalog
+    obj = data.draw(st.one_of(*map(_like, _FUZZ_TEMPLATES[command.split("-")[0]])))
     obj = None if obj is _DROPPED else obj
     # inf prints as Infinity; 1e400 is the plain JSON number that parses to it
     text = json.dumps(obj).replace("Infinity", "1e400")
@@ -687,6 +688,8 @@ def test_fuzzed_json_inputs_exit_0_or_3(cert_13_3, command, data):
             "simulate": ["simulate", path, "--json"],
             "theorem2": ["construct", "theorem2", "--cert1", path, "--cert2", cert_13_3],
             "catalog": ["catalog", "update", path, "--catalog", Path(tmp) / "c.jsonl"],
+            "catalog-check": ["catalog", "check", "--catalog", path],
+            "catalog-show": ["catalog", "show", "--json", "--catalog", path],
         }[command]
         rc, out, err = run_quiet(*argv)
     assert rc in (0, 3), (text, err)

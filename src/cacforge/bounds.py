@@ -16,18 +16,33 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, gcd
+from math import ceil, gcd, isqrt
 
 from .errors import InconsistentClaim, ParseError, UnsupportedWeight, json_int, json_ints
 from .numtheory import factorize, is_prime
+
+
+def _divisors_between(L: int, lo: int, hi: int) -> list[int]:
+    """Divisors of L in [lo, hi), ascending, for 1 <= lo.
+
+    Below sqrt(L) each d is tested; above it each cofactor L // d is, so
+    the scan is about sqrt(L) long at most however wide the range, and a
+    range below sqrt(L) is a plain scan.
+    """
+    root = isqrt(L) + 1
+    low = [d for d in range(lo, min(hi, root)) if L % d == 0]
+    top = max(lo, root)
+    if top >= hi:
+        return low
+    # d in [top, hi) iff its cofactor c = L // d lies in (L // hi, L // top]
+    return low + [L // c for c in range(L // top, L // hi, -1) if L % c == 0]
 
 
 def omega(L: int, w: int) -> tuple[int, ...]:
     """Divisors of L in [w, 2w-1), ascending."""
     if L < 2 or w < 2:
         raise ValueError("need L >= 2 and w >= 2")
-    # no divisor of L exceeds L, so a weight far above L scans nothing
-    return tuple(d for d in range(w, min(2 * w - 1, L + 1)) if L % d == 0)
+    return tuple(_divisors_between(L, w, 2 * w - 1))
 
 
 def omega_star(L: int, w: int) -> tuple[int, ...]:
@@ -145,11 +160,7 @@ def _best_coprime_subset(pool, gain) -> tuple[int, tuple[int, ...]]:
 
 def _subset_pool(L: int, w: int) -> list[int]:
     # x qualifies when x | L and the subgroup <L/x> wastes few enough differences
-    return [
-        x
-        for x in range(2, 2 * w - 1)
-        if L % x == 0 and 2 * x * ceil(w / x) - x <= 2 * w - 2
-    ]
+    return [x for x in _divisors_between(L, 2, 2 * w - 1) if 2 * x * ceil(w / x) - x <= 2 * w - 2]
 
 
 def subset_excess_bound(L: int, w: int) -> tuple[Fraction, int, tuple[int, ...]]:

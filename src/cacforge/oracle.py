@@ -16,19 +16,36 @@ for all orbits. That is exact: if O_i is the first orbit a maximum
 clique meets, a unit maps it onto a clique through r_i that misses every
 earlier orbit. Each such subproblem is relabelled by non-increasing
 degree among its candidates before the coloring bound runs (the vertex
-order of Tomita's MCQ/MCS and San Segundo's BBMC). At (671, 11), 331
-vertices in 3 orbits, the search proves the maximum of 32 in 36,078
-nodes (107,709 without orbits or the order), and (504, 9) finishes
-exact at 16 in about 2.1 million nodes.
+order of Tomita's MCQ/MCS and San Segundo's BBMC).
+
+The search starts warm, as Batsyn, Goldengorin, Maslov and Pardalos
+start MCS from a heuristic clique (J. Comb. Optim., 2014). Next to the
+greedy clique in vertex order, a dynamic max-degree greedy finds a
+clique of size h, often the maximum itself: 35 at (355, 6), where the
+vertex-order greedy finds 21, and 32 at (671, 11), where it finds 16.
+If h - 1 beats the vertex-order incumbent, the search holds the
+h-clique but prunes against h - 1. The witness does not change. The
+incumbent never alters the branching order: the color classes are
+built the same way whatever it is, and a higher incumbent only drops a
+tail of the vertices branched on. So the depth-first order is fixed,
+every bound on the path to the first maximum clique in that order is at
+least the maximum M > h - 1, and that clique is found and returned, as
+by the search from the vertex-order incumbent. (Pruning against h would
+return the greedy's clique instead.) At (671, 11), 331 vertices in 3
+orbits, the search proves the maximum of 32 in 3,963 nodes (36,078
+cold, 107,709 without orbits or the order). At (504, 9) the max-degree
+greedy finds 15 of 16 and the vertex-order greedy 14, so nothing
+changes there: the search still takes 2,109,728 nodes.
 
 The search stops as soon as the incumbent reaches a volume ceiling. A
 clique is a family of disjoint subsets of Z_L minus 0, so it has no more
 members than the smallest difference sets that fit into L - 1 elements
 together. At prime L that is the floor (L - 1)/(2w - 2) which theorem 1
-meets: the stop cuts (241, 4) from 307 nodes to 80 and (229, 3) from
-2,916 to 1,490. Where the maximum lies below the ceiling, as at
-(671, 11) (ceiling 34) and (504, 9) (ceiling 32), the tree is searched
-to its end and the node counts above stand.
+meets: with the warm start the search proves (355, 6) in 175 nodes and
+(229, 3) in 1,113, where it took 3,000 and 1,490 cold and 2,916 at
+(229, 3) without the stop. Where the maximum lies below the ceiling, as
+at (671, 11) (ceiling 34) and (504, 9) (ceiling 32), the tree is
+searched to its end.
 """
 
 from __future__ import annotations
@@ -164,15 +181,32 @@ def _volume_ceiling(sizes, L: int) -> int:
     return k
 
 
+def _degree_greedy(adj) -> list[int]:
+    """A maximal clique grown by dynamic max-degree greedy.
+
+    Each step takes the candidate with the most neighbours among the
+    candidates (lowest index on ties) and narrows the candidates to its
+    neighbours.
+    """
+    clique: list[int] = []
+    P = (1 << len(adj)) - 1
+    while P:
+        verts = [v for v in range(len(adj)) if P >> v & 1]
+        v = max(verts, key=lambda u: (adj[u] & P).bit_count())  # first maximum
+        clique.append(v)
+        P &= adj[v]
+    return clique
+
+
 def _max_clique(adj, orbits, budget: int, ceiling: int) -> tuple[int, list[int], int]:
     """Exact maximum clique over the bitmask adjacency; returns (size, members, nodes).
 
     orbits partitions the vertices into automorphism orbits, taken in the
     given order; singleton orbits give the search without symmetry breaking.
     ceiling bounds every clique's size (len(adj) always does); the search
-    stops as soon as the incumbent reaches it. The incumbent changes only
-    on a strict improvement, so the members are those the exhaustive
-    search would return.
+    stops as soon as the incumbent reaches it. A clique is recorded only
+    when it beats bar, the size that prunes; the members returned are those
+    the exhaustive search from the vertex-order greedy incumbent returns.
     """
     if not adj:
         return 0, [], 0
@@ -184,22 +218,28 @@ def _max_clique(adj, orbits, budget: int, ceiling: int) -> tuple[int, list[int],
         v = (mask & -mask).bit_length() - 1
         best.append(v)
         mask &= adj[v]
-    best_size = len(best)
+    bar = len(best)
+    # the max-degree greedy clique usually comes closer to the maximum; hold
+    # it, but search for one member fewer, so that the first maximum clique
+    # in the (fixed) search order still replaces it
+    warm = _degree_greedy(adj)
+    if len(warm) - 1 > bar:
+        best, bar = warm, len(warm) - 1
 
     nodes = 0
     current: list[int] = []  # members in the caller's vertex labels
 
     def expand(size: int, P: int, rows, non, verts) -> None:
-        nonlocal nodes, best, best_size
+        nonlocal nodes, best, bar
         if nodes == budget:
             raise BudgetExceeded(
-                f"node budget {budget} exhausted", best=list(best), size=best_size, nodes=nodes
+                f"node budget {budget} exhausted", best=list(best), size=len(best), nodes=nodes
             )
         nodes += 1
-        order, colors = _greedy_color(P, non, best_size - size + 1)
+        order, colors = _greedy_color(P, non, bar - size + 1)
         work = P
         for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= best_size:
+            if size + colors[i] <= bar:
                 return
             v = order[i]
             work ^= 1 << v
@@ -207,30 +247,30 @@ def _max_clique(adj, orbits, budget: int, ceiling: int) -> tuple[int, list[int],
             sub = work & rows[v]
             if sub:
                 expand(size + 1, sub, rows, non, verts)
-            elif size + 1 > best_size:
+            elif size + 1 > bar:
                 best = current.copy()
-                best_size = size + 1
+                bar = size + 1
             current.pop()
-            if best_size >= ceiling:
+            if bar >= ceiling:
                 return
 
     excluded = 0
     for orbit in orbits:
-        if best_size >= ceiling:
+        if bar >= ceiling:
             break
         r = orbit[0]
         P = adj[r] & ~excluded
         for v in orbit:
             excluded |= 1 << v
-        # best_size >= 1, so a subproblem that survives this test has candidates
-        if 1 + P.bit_count() <= best_size:
+        # bar >= 1, so a subproblem that survives this test has candidates
+        if 1 + P.bit_count() <= bar:
             continue
         verts, rows = _by_degree(adj, P)
         non = [~(row | 1 << k) for k, row in enumerate(rows)]
         current.append(r)
         expand(1, (1 << len(verts)) - 1, rows, non, verts)
         current.pop()
-    return best_size, best, nodes
+    return len(best), best, nodes
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 
 from cacforge.bounds import (
     BoundReport,
+    _subset_pool,
     coprime_excess_exact,
     corollary1_bound,
     new_bound,
@@ -59,10 +60,16 @@ def test_new_bound_pins():
 
 
 def test_omega_at_a_weight_far_above_the_length():
-    for L in range(2, 40):
+    # omega and the subset pool against plain scans, over ranges below and
+    # above sqrt(L)
+    for L in range(2, 2000):
         for w in range(2, 60):
             assert omega(L, w) == tuple(d for d in range(w, 2 * w - 1) if L % d == 0)
-    # the scan stops at L, so its cost does not grow with w
+            assert _subset_pool(L, w) == [
+                x for x in range(2, 2 * w - 1)
+                if L % x == 0 and 2 * x * math.ceil(w / x) - x <= 2 * w - 2
+            ]
+    # the scan is about sqrt(L) long, so its cost does not grow with w
     t0 = time.perf_counter()
     r = new_bound(13, 10**8)
     assert (r.omega, r.excess, r.floor_value) == ((), 0, 0)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 from pathlib import Path
@@ -45,6 +46,21 @@ def test_bound_plain(capsys):
     assert rc == 0
     assert "floor 5" in out
     assert "20/4" in out
+
+
+def test_bound_all_at_a_large_prime_and_weight(capsys):
+    # omega and the subset pool scan about sqrt(L) candidates, not 2w
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "bound", "100000007", "10000000", "--all")
+    assert time.perf_counter() - t0 < 0.5
+    assert rc == 0
+    assert out == (
+        "bounds for (L=100000007, w=10000000):\n"
+        "  new:            floor 5  raw 100000006/19999998  omega_star []\n"
+        "  prime-divisor:  floor 5  raw 110000005/19999998\n"
+        "  subset-excess:  floor 5  raw 50000003/9999999  set []\n"
+        "  corollary1:     n/a (w outside 3..6)\n"
+    )
 
 
 def test_bound_json(capsys):

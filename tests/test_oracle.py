@@ -1,6 +1,9 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -9,12 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cacforge
+import cacforge.oracle as oracle
 from cacforge.bounds import new_bound
 from cacforge.codes import Code, verify_cac
 from cacforge.constructions import construct_lemma1
 from cacforge.errors import BudgetExceeded
 from cacforge.numtheory import is_prime
 from cacforge.oracle import (
+    _degree_greedy,
     _disjointness_rows,
     _max_clique,
     _volume_ceiling,
@@ -108,9 +113,10 @@ def test_oracle_671_11_exact():
 
 
 def test_oracle_671_11_node_count():
-    # machine-independent cost pin: 107,709 nodes without symmetry breaking;
-    # the volume ceiling (34) is above the maximum, so the search exhausts its tree
-    assert max_equi_diff_cac(671, 11, budget=40_000_000, cap=700).nodes == 36_078
+    # machine-independent cost pin: 107,709 nodes without symmetry breaking and
+    # 36,078 without the warm start; the volume ceiling (34) is above the
+    # maximum, so the search exhausts its tree
+    assert max_equi_diff_cac(671, 11, budget=40_000_000, cap=700).nodes == 3_963
 
 
 def test_oracle_budget_reports_nodes():
@@ -157,20 +163,92 @@ def test_ceiling_stop_keeps_size_and_witness(L, w):
     assert stopped[2] <= exhausted[2]
 
 
-@pytest.mark.parametrize("L,w,most", [(13, 3, 0), (241, 4, 80), (229, 3, 1_490)])
+@pytest.mark.parametrize("L,w,most", [(13, 3, 0), (241, 4, 40), (229, 3, 1_113)])
 def test_ceiling_stop_node_pins(L, w, most):
-    # the maximum meets the floor here: 1, 307 and 2,916 nodes without the stop
+    # the maximum meets the floor here: 1, 307 and 2,916 nodes without the stop,
+    # 0, 80 and 1,490 with it but without the warm start
     res = max_equi_diff_cac(L, w, cap=L)
     assert res.size == _ceiling(L, w) == new_bound(L, w).floor_value
     assert res.nodes <= most
 
 
-@pytest.mark.parametrize("L,w,nodes", [(157, 4, 646), (193, 4, 1_776), (205, 4, 2_282)])
+@pytest.mark.parametrize("L,w,nodes", [(157, 4, 617), (193, 4, 1_752), (205, 4, 2_275)])
 def test_gap_instances_keep_their_node_counts(L, w, nodes):
     # the maximum lies below the ceiling, so the whole tree is searched
+    # (646, 1,776 and 2,282 nodes without the warm start)
     res = max_equi_diff_cac(L, w, cap=L)
     assert res.size < _ceiling(L, w)
     assert res.nodes == nodes
+
+
+def test_warm_start_pin_355_6():
+    # the maximum 35 meets the ceiling; the vertex-order greedy finds 21 and
+    # the max-degree greedy 35, so the search needs 175 nodes, not 3,000
+    res = max_equi_diff_cac(355, 6, cap=355)
+    assert res.size == _ceiling(355, 6) == 35
+    assert res.nodes == 175
+
+
+def test_budget_stop_carries_the_warm_start():
+    with pytest.raises(BudgetExceeded) as ei:
+        max_equi_diff_cac(355, 6, cap=355, budget=1)
+    err = ei.value
+    assert isinstance(err.best, Code)
+    assert verify_cac(err.best).ok
+    assert len(err.best) == err.size == 35
+
+
+def test_search_json_digest():
+    # frozen outputs: every witness over w = 3..6, L = w..121, in that order
+    h = hashlib.sha256()
+    for w in range(3, 7):
+        for L in range(w, 122):
+            obj = max_equi_diff_cac(L, w, cap=L).to_json()
+            h.update((json.dumps(obj, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == "5b1260eae54d197c9d9d2132a8225b0354c0c1a48b6f9a2651ae469b0bf719e0"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 110), st.integers(2, 6))
+@example(13, 3)  # the vertex-order greedy already meets the maximum
+@example(69, 4)  # 17 nodes cold, 11 warm
+@example(355, 6)  # 3,000 nodes cold, 175 warm
+def test_warm_start_keeps_size_and_witness(L, w):
+    if L < w:
+        return
+    g = build_graph(L, w)
+    ceiling = _ceiling(L, w)
+    for orbits in (g.unit_orbits(), [[i] for i in range(len(g.adjacency))]):
+        warm = _max_clique(g.adjacency, orbits, 10**7, ceiling)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_degree_greedy", lambda adj: [])
+            cold = _max_clique(g.adjacency, orbits, 10**7, ceiling)
+        assert warm[:2] == cold[:2]
+        assert warm[2] <= cold[2]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 24), st.sets(st.tuples(st.integers(0, 23), st.integers(0, 23))))
+@example(0, set())
+def test_degree_greedy_returns_a_maximal_clique(n, pairs):
+    adj = [0] * n
+    for i, j in pairs:
+        if i != j and i < n and j < n:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    clique = _degree_greedy(adj)
+    assert len(set(clique)) == len(clique)
+    assert all(adj[u] >> v & 1 for u, v in combinations(clique, 2))
+    common = (1 << n) - 1
+    for v in clique:
+        common &= adj[v]
+    assert common == 0
+
+
+def test_degree_greedy_takes_the_most_connected_vertex():
+    # edge 0-1 and triangle 2-3-4: the vertex-order greedy stops at [0, 1]
+    adj = [0b10, 0b1, 0b11000, 0b10100, 0b1100]
+    assert _degree_greedy(adj) == [2, 3, 4]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

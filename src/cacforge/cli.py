@@ -395,9 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("search", help="exact oracle value of M^e(L, w)")
     s.add_argument("L", type=int)
     s.add_argument("w", type=int)
-    s.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    s.add_argument("--budget", type=_non_negative, default=DEFAULT_NODE_BUDGET,
                    help="search node budget")
-    s.add_argument("--cap", type=int, help="override the desk-scale length cap")
+    s.add_argument("--cap", type=_non_negative, help="override the desk-scale length cap")
     s.add_argument("--json", action="store_true")
 
     m = sub.add_parser("simulate", help="run a channel scenario JSON file")

@@ -289,6 +289,28 @@ def test_search_reports_nodes(capsys):
     assert "after 5 search nodes" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "157", "4", "--cap", "157", "--budget", "-1"],
+    ["search", "15", "3", "--budget", "x"],
+    ["search", "157", "4", "--cap", "-5"],
+], ids=["negative-budget", "bad-budget", "negative-cap"])
+def test_search_rejects_negative_budget_and_cap(capsys, argv):
+    # the node count never reaches a negative budget, and a negative cap
+    # refuses every length: both are usage errors, not searches
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[-2] in err
+    assert "Traceback" not in err
+
+
+def test_search_budget_zero_stops_at_once(capsys):
+    rc, _, err = run(capsys, "search", "157", "4", "--cap", "157", "--budget", "0")
+    assert rc == 4
+    assert "after 0 search nodes" in err
+
+
 def test_search_bad_witness_exit(capsys, monkeypatch):
     import cacforge.oracle as oracle
 

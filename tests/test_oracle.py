@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
@@ -22,6 +22,7 @@ from cacforge.oracle import (
     _degree_greedy,
     _disjointness_rows,
     _max_clique,
+    _refuted,
     _volume_ceiling,
     build_graph,
     certify,
@@ -113,10 +114,10 @@ def test_oracle_671_11_exact():
 
 
 def test_oracle_671_11_node_count():
-    # machine-independent cost pin: 107,709 nodes without symmetry breaking and
-    # 36,078 without the warm start; the volume ceiling (34) is above the
-    # maximum, so the search exhausts its tree
-    assert max_equi_diff_cac(671, 11, budget=40_000_000, cap=700).nodes == 3_963
+    # machine-independent cost pin: 107,709 nodes without symmetry breaking,
+    # 36,078 without the warm start and 3,963 without the refutation; the
+    # volume ceiling (34) is above the maximum, so the search exhausts its tree
+    assert max_equi_diff_cac(671, 11, budget=40_000_000, cap=700).nodes == 2_279
 
 
 def test_oracle_budget_reports_nodes():
@@ -163,19 +164,21 @@ def test_ceiling_stop_keeps_size_and_witness(L, w):
     assert stopped[2] <= exhausted[2]
 
 
-@pytest.mark.parametrize("L,w,most", [(13, 3, 0), (241, 4, 40), (229, 3, 1_113)])
+@pytest.mark.parametrize("L,w,most", [(13, 3, 0), (241, 4, 40), (229, 3, 457)])
 def test_ceiling_stop_node_pins(L, w, most):
     # the maximum meets the floor here: 1, 307 and 2,916 nodes without the stop,
-    # 0, 80 and 1,490 with it but without the warm start
+    # 0, 80 and 1,490 with it but without the warm start, 0, 40 and 1,113
+    # without the refutation
     res = max_equi_diff_cac(L, w, cap=L)
     assert res.size == _ceiling(L, w) == new_bound(L, w).floor_value
     assert res.nodes <= most
 
 
-@pytest.mark.parametrize("L,w,nodes", [(157, 4, 617), (193, 4, 1_752), (205, 4, 2_275)])
+@pytest.mark.parametrize("L,w,nodes", [(157, 4, 160), (193, 4, 507), (205, 4, 358)])
 def test_gap_instances_keep_their_node_counts(L, w, nodes):
     # the maximum lies below the ceiling, so the whole tree is searched
-    # (646, 1,776 and 2,282 nodes without the warm start)
+    # (646, 1,776 and 2,282 nodes without the warm start, 617, 1,752 and
+    # 2,275 without the refutation)
     res = max_equi_diff_cac(L, w, cap=L)
     assert res.size < _ceiling(L, w)
     assert res.nodes == nodes
@@ -183,10 +186,11 @@ def test_gap_instances_keep_their_node_counts(L, w, nodes):
 
 def test_warm_start_pin_355_6():
     # the maximum 35 meets the ceiling; the vertex-order greedy finds 21 and
-    # the max-degree greedy 35, so the search needs 175 nodes, not 3,000
+    # the max-degree greedy 35, so the search needs 100 nodes, not 3,000
+    # (175 without the refutation)
     res = max_equi_diff_cac(355, 6, cap=355)
     assert res.size == _ceiling(355, 6) == 35
-    assert res.nodes == 175
+    assert res.nodes == 100
 
 
 def test_budget_stop_carries_the_warm_start():
@@ -225,6 +229,80 @@ def test_warm_start_keeps_size_and_witness(L, w):
             cold = _max_clique(g.adjacency, orbits, 10**7, ceiling)
         assert warm[:2] == cold[:2]
         assert warm[2] <= cold[2]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 110), st.integers(2, 6))
+@example(13, 3)  # the vertex-order greedy already meets the maximum
+@example(73, 3)  # 12 nodes with the refutation, 33 without (50 and 116 unorbited)
+@example(121, 5)  # 39 and 93 (136 and 364 unorbited)
+def test_refutation_keeps_size_and_witness(L, w):
+    if L < w:
+        return
+    g = build_graph(L, w)
+    ceiling = _ceiling(L, w)
+    for orbits in (g.unit_orbits(), [[i] for i in range(len(g.adjacency))]):
+        pruned = _max_clique(g.adjacency, orbits, 10**7, ceiling)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_refuted", lambda S, classes, rows: False)
+            full = _max_clique(g.adjacency, orbits, 10**7, ceiling)
+        assert pruned[:2] == full[:2]
+        assert pruned[2] <= full[2]
+
+
+def _meets_every_class(S, classes, adj):
+    # exhaustive: a clique inside S with exactly one vertex in each class
+    picks = [[v for v in range(S.bit_length()) if (S & K) >> v & 1] for K in classes]
+    return any(
+        all(adj[u] >> v & 1 for u, v in combinations(choice, 2)) for choice in product(*picks)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_refuted_agrees_with_brute_force(data):
+    # random graph on n vertices split into k independent classes (no edge
+    # inside a class), and a candidate set S that drops a few vertices
+    k = data.draw(st.integers(0, 5))
+    n = data.draw(st.integers(k, 12))
+    label = list(range(k)) + data.draw(
+        st.lists(st.integers(0, max(k - 1, 0)), min_size=n - k, max_size=n - k))
+    adj = [0] * n
+    for u, v in combinations(range(n), 2):
+        if label[u] != label[v] and data.draw(st.integers(0, 3)):  # 3 in 4 pairs
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    classes = [sum(1 << v for v in range(n) if label[v] == c) for c in range(k)]
+    S = (1 << n) - 1
+    for v in data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=3)):
+        S &= ~(1 << v)
+    if _refuted(S, classes, adj):
+        assert not _meets_every_class(S, classes, adj)
+
+
+def _graph(n, edges):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def test_refuted_follows_a_chain_of_forced_vertices():
+    # classes {0}, {1, 2}, {3, 4}, {5, 6}: every class meets S, but 0 forces
+    # 1 (0 misses 2), 1 forces 4 (1 misses 3), and 4 sees neither 5 nor 6
+    classes = [0b1, 0b110, 0b11000, 0b1100000]
+    edges = [(0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (1, 6),
+             (2, 3), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6)]
+    adj = _graph(7, edges)
+    S = 0b1111111
+    assert all(S & K for K in classes)
+    assert _refuted(S, classes, adj)
+    assert not _meets_every_class(S, classes, adj)
+    # with the edge 4-5 the same chain ends in the clique 0, 1, 4, 5
+    adj = _graph(7, edges + [(4, 5)])
+    assert not _refuted(S, classes, adj)
+    assert _meets_every_class(S, classes, adj)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -367,6 +445,17 @@ def test_max_general_cac_budget_carries_supports():
     for i in range(len(diffs)):
         for j in range(i):
             assert not diffs[i] & diffs[j]
+
+
+def test_negative_budget_is_rejected():
+    # the search stops at nodes == budget, which a negative budget never
+    # reaches
+    with pytest.raises(ValueError, match="budget"):
+        max_equi_diff_cac(157, 4, budget=-1, cap=157)
+    with pytest.raises(ValueError, match="budget"):
+        max_general_cac(9, 3, budget=-1)
+    with pytest.raises(BudgetExceeded):
+        max_equi_diff_cac(157, 4, budget=0, cap=157)
 
 
 def test_max_general_cac_cap():

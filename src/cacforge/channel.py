@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import ceil, log
 
 from .codes import Code, EquiDiffCodeword, code_from_json, support, verify_cac
 from .errors import (
@@ -110,14 +111,47 @@ def _run_once(on_air: list[int]) -> list[int]:
     return [(m & alone).bit_count() for m in on_air]
 
 
+def _below(bits, n: int) -> int:
+    # random.Random._randbelow_with_getrandbits: uniform in [0, n), n > 0
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample(bits, n: int, k: int) -> list[int]:
+    # random.Random.sample(range(n), k), draw for draw: a pool of the
+    # unpicked when n is below sample's set-size threshold, else redraws
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    picked = []
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            j = _below(bits, n - i)
+            picked.append(pool[j])
+            pool[j] = pool[n - i - 1]
+    else:
+        for _ in range(k):
+            j = _below(bits, n)
+            while j in picked:
+                j = _below(bits, n)
+            picked.append(j)
+    return picked
+
+
 def simulate(sc: Scenario) -> SimReport:
     """Run the scenario's explicit active set, or seeded random trials.
 
     Explicit mode: one period with the given (codeword index, delay)
-    pairs. Sampling mode (empty active, trials > 0): per trial, an rng
-    derived from (seed, trial) picks 1..min(w, |code|) distinct users and
-    uniform delays. per_user aggregates success-slot counts by codeword
-    index; a violation records any run that left some user at zero.
+    pairs. Sampling mode (empty active, trials > 0): trial t draws from
+    random.Random(f"{seed}:{t}") exactly what k = randint(1, min(w, n)),
+    users = sample(range(n), k) and then one randrange(L) delay per user,
+    in pick order, would draw; the draws are made from getrandbits
+    directly. per_user aggregates success-slot counts by codeword index;
+    a violation records any run that left some user at zero.
     """
     code = sc.code
     report = verify_cac(code)
@@ -146,11 +180,14 @@ def simulate(sc: Scenario) -> SimReport:
         raise ParamMismatch("sampled trials need at least one codeword")
     per_user = {i: 0 for i in range(n)}
     violations = []
+    rng = random.Random()
+    bits = rng.getrandbits
+    most = min(code.weight, n)
     for t in range(sc.trials):
-        rng = random.Random(f"{sc.seed}:{t}")
-        k = rng.randint(1, min(code.weight, n))
-        chosen = rng.sample(range(n), k)
-        active = [(i, rng.randrange(L)) for i in chosen]
+        # re-seeding gives the state of a fresh random.Random(f"{seed}:{t}")
+        rng.seed(f"{sc.seed}:{t}")
+        chosen = _sample(bits, n, 1 + _below(bits, most))
+        active = [(i, _below(bits, L)) for i in chosen]
         counts = _run_once([_rot(masks[i], -d, L, full) for i, d in active])
         for (i, _), c in zip(active, counts):
             per_user[i] += c

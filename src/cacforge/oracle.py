@@ -351,12 +351,14 @@ def max_equi_diff_cac(
     Refuses lengths above the desk-scale cap (and node counts above
     budget) by raising BudgetExceeded; on a node-budget stop the error
     carries the incumbent as a non-exact lower bound. A negative budget
-    raises ValueError.
+    or cap raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
     if cap is None:
         cap = _LENGTH_CAPS.get(w, _DEFAULT_CAP)
+    if cap < 0:
+        raise ValueError(f"length cap must be >= 0, got {cap}")
     if L > cap:
         raise BudgetExceeded(f"L = {L} above cap {cap} for w = {w}; pass cap to override")
     graph = build_graph(L, w)
@@ -397,11 +399,14 @@ def max_general_cac(
     to contain 0. Tiny L only; this exists to cross-check that the
     equi-difference maximum never exceeds the unrestricted one. On a
     node-budget stop the error's best holds the incumbent's supports.
+    A negative budget or cap raises ValueError.
     """
     if L < w or w < 2:
         raise ValueError(f"need L >= w >= 2, got ({L},{w})")
     if budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")
+    if cap < 0:
+        raise ValueError(f"length cap must be >= 0, got {cap}")
     if L > cap:
         raise BudgetExceeded(f"L = {L} above support-set cap {cap}")
     seen: dict[frozenset[int], frozenset[int]] = {}

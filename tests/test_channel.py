@@ -1,15 +1,21 @@
 import json
+import random
 from itertools import combinations, product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cacforge.channel as channel
 from cacforge.channel import (
     EXHAUSTIVE_BUDGET,
     Scenario,
+    _below,
+    _rot,
     _run_once,
+    _sample,
     cross_correlation,
     scenario_from_json,
     simulate,
@@ -94,6 +100,47 @@ def test_simulate_sampling_deterministic():
     assert a.violations == ()
     c = simulate(Scenario(code, seed=8, trials=300))
     assert c.to_json() != a.to_json()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_draws_match_random_draw_for_draw(seed):
+    # _sample and _below replay this interpreter's sample(range(n), k),
+    # randint and randrange: n spans sample's pool/set switch at 21/22
+    # (k <= 5) and 85/86 (k = 6..9), and (277, 22)/(278, 22) one step up
+    cases = [(n, k) for n in range(1, 101) for k in range(1, min(n, 9) + 1)]
+    for n, k in cases + [(277, 22), (278, 22)]:
+        ours, twin = random.Random(f"{seed}:{n}:{k}"), random.Random(f"{seed}:{n}:{k}")
+        bits = ours.getrandbits
+        assert 1 + _below(bits, k) == twin.randint(1, k)
+        assert _sample(bits, n, k) == twin.sample(range(n), k)
+        assert _below(bits, n) == twin.randrange(n)
+        # the generators are still in step
+        assert ours.getrandbits(32) == twin.getrandbits(32)
+
+
+@pytest.mark.parametrize("L, generators", [(7, [1, 2, 3]), (13, list(range(1, 13)) * 2)],
+                         ids=["pool", "set"])
+def test_sampling_matches_random_on_a_clashing_code(monkeypatch, L, generators):
+    # reference: the documented draw made with random's own methods, counted
+    # with _rot and _run_once; a code that is no CAC makes violations happen
+    code = Code.from_generators(L, 3, generators)
+    n, full = len(code), (1 << L) - 1
+    masks = [to_protocol_sequence(cw).mask for cw in code.codewords]
+    per_user, violations = dict.fromkeys(range(n), 0), []
+    for t in range(400):
+        rng = random.Random(f"11:{t}")
+        k = rng.randint(1, min(3, n))
+        active = [(i, rng.randrange(L)) for i in rng.sample(range(n), k)]
+        counts = _run_once([_rot(masks[i], -d, L, full) for i, d in active])
+        for (i, _), c in zip(active, counts):
+            per_user[i] += c
+        if 0 in counts:
+            violations.append({"trial": t, "active": [[i, d] for i, d in active]})
+    assert violations
+    monkeypatch.setattr(channel, "verify_cac", lambda code: SimpleNamespace(ok=True))
+    rep = simulate(Scenario(code, seed=11, trials=400))
+    assert rep.per_user == per_user
+    assert rep.violations == tuple(violations)
 
 
 def test_simulate_cac_never_starves(rng):

@@ -24,6 +24,7 @@ from cacforge.codes import (
     is_tight,
     verify_cac,
 )
+from cacforge.constructions import Theorem1Params, construct_lemma1, construct_theorem1
 from conftest import subprocess_env
 
 
@@ -343,6 +344,30 @@ def test_simulate(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["runs"] == 200
     assert obj["violations"] == []
+
+
+@pytest.mark.parametrize("make, seed, trials, digest", [
+    # n = 153 users: sample's rejection-set branch
+    (lambda: construct_theorem1(Theorem1Params(919, 4, 51, 3, 7)), 919, 3_000,
+     "4902185f9d8997700887d6c1d92094e52029b25d22c999a22244a3a89ce9bf34"),
+    # n = 3: the pool branch
+    (lambda: construct_lemma1(13, 3), 7, 300,
+     "d61143cf48bef6a116ebb7765eeb01908cbc322286c291b5e16397ca0c6fbff6"),
+    # n = 64: the set branch for k <= 5, the pool branch for k >= 6
+    (lambda: construct_theorem1(Theorem1Params(769, 7, 32, 2, 11)), 5, 2_000,
+     "1b84c5d349a4a3539f6f8877b3524c8069347abc344a6ba513433389573e78a8"),
+], ids=["919-4", "13-3", "769-7"])
+def test_simulate_sampled_json_digest(tmp_path, capsys, make, seed, trials, digest):
+    # frozen outputs: the seed:trial draw stream of sampling mode
+    code = make().code
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "code": {"L": code.length, "w": code.weight, "generators": list(code.generators)},
+        "seed": seed, "trials": trials,
+    }))
+    rc, out, _ = run(capsys, "simulate", str(path), "--json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 _CODE_9_3 = {"L": 9, "w": 3, "generators": [1, 3]}

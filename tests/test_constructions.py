@@ -1,10 +1,13 @@
+import ast
 import pickle
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import cacforge
 from cacforge.bounds import new_bound
 from cacforge.codes import CertFlags, Certificate, Code, is_tight, verify_cac
 from cacforge.constructions import (
@@ -187,6 +190,16 @@ def test_subgroup_order_and_difference_set_checks_survive_python_O(optimize):
         "ParseError: malformed certificate (tight must be true, false or null, got 'no')",
         "ParseError: malformed catalog entry (source must be a string, got {'a': [1]})",
     ]
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, so no check may be one
+    modules = sorted(Path(cacforge.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _counting(counts, name, fn):

@@ -458,6 +458,19 @@ def test_negative_budget_is_rejected():
         max_equi_diff_cac(157, 4, budget=0, cap=157)
 
 
+def test_negative_cap_is_rejected():
+    # a negative cap is a caller error, not a search too large to run
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        max_equi_diff_cac(15, 3, cap=-5)
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        max_general_cac(15, 3, cap=-5)
+    # zero is a cap like any other
+    with pytest.raises(BudgetExceeded):
+        max_equi_diff_cac(15, 3, cap=0)
+    with pytest.raises(BudgetExceeded):
+        max_general_cac(15, 3, cap=0)
+
+
 def test_max_general_cac_cap():
     with pytest.raises(BudgetExceeded):
         max_general_cac(41, 3)

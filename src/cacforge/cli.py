@@ -29,6 +29,7 @@ from .codes import (
     verify_cac,
 )
 from .constructions import (
+    DEFAULT_CODEWORD_CAP,
     Theorem1Params,
     construct_lemma1,
     construct_theorem1,
@@ -119,17 +120,17 @@ def cmd_construct(args) -> int:
         _err(f"construct {method} requires {', '.join(flags[:-1])} and {flags[-1]}")
         return 2
     if method == "lemma1":
-        cert = construct_lemma1(args.p, args.w, args.alpha)
+        cert = construct_lemma1(args.p, args.w, args.alpha, args.cap)
     elif method == "theorem1":
         cert = construct_theorem1(
-            Theorem1Params(args.p, args.w, args.m, args.s, args.alpha)
+            Theorem1Params(args.p, args.w, args.m, args.s, args.alpha), args.cap
         )
     elif method == "theorem2":
         cert = construct_theorem2(
-            _load_certificate(args.cert1), _load_certificate(args.cert2)
+            _load_certificate(args.cert1), _load_certificate(args.cert2), args.cap
         )
     else:  # two-prime
-        cert = construct_two_prime(args.p, args.q, args.w)
+        cert = construct_two_prime(args.p, args.q, args.w, args.cap)
     text = json.dumps(cert.to_json(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -385,6 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alpha", type=int, help="primitive root override")
     c.add_argument("--cert1", help="first input certificate (theorem2)")
     c.add_argument("--cert2", help="second input certificate (theorem2)")
+    c.add_argument("--cap", type=_non_negative, default=DEFAULT_CODEWORD_CAP,
+                   help=f"largest code to build, in codewords (default {DEFAULT_CODEWORD_CAP:,})")
     c.add_argument("--out", help="write the certificate JSON here instead of stdout")
     c.add_argument("--json", action="store_true", help="output is JSON regardless")
 

@@ -9,6 +9,7 @@ residue.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -25,7 +26,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquiDiffCodeword:
     length: int
     weight: int
@@ -44,7 +45,7 @@ class EquiDiffCodeword:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DifferenceSet:
     length: int
     elements: frozenset[int]
@@ -164,17 +165,26 @@ def verify_cac(code: Code) -> VerificationReport:
     one, paired with the earlier codeword that holds their least shared
     difference, and that difference as witness.
     """
-    # a set, not a dict: set.isdisjoint and |= then run in C
-    seen: set[int] = set()
-    for idx, cw in enumerate(code.codewords):
+    # owner[x] is 1 + the index of the codeword holding difference x, 0 if
+    # none. A list of L slots (8 B per residue) when the at most 2(w-1)n
+    # differences could fill an eighth of Z_L, so never larger than a hash
+    # set of them (about 64 B each); else a dict of the differences alone
+    L, n = code.length, len(code)
+    owner = [0] * L if L <= 16 * (code.weight - 1) * n else defaultdict(int)
+    covered = 0
+    for idx, cw in enumerate(code.codewords, 1):
         elems = difference_set(cw).elements
-        if not seen.isdisjoint(elems):
-            x = min(elems & seen)
-            owner = next(i for i, prev in enumerate(code.codewords)
-                         if x in difference_set(prev).elements)
-            return VerificationReport(False, (owner, idx), x)
-        seen |= elems
-    return VerificationReport(True, covered=len(seen))
+        for x in elems:
+            if owner[x]:
+                break
+            owner[x] = idx
+        else:
+            covered += len(elems)
+            continue
+        # differences of this codeword already written hold idx itself
+        witness = min(x for x in elems if 0 < owner[x] < idx)
+        return VerificationReport(False, (owner[witness] - 1, idx - 1), witness)
+    return VerificationReport(True, covered=covered)
 
 
 def is_tight(code: Code) -> bool:

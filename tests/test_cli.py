@@ -175,6 +175,23 @@ def test_construct_out_and_theorem2(tmp_path, capsys):
     assert len(cert.code) == 16
 
 
+def test_construct_refuses_a_huge_code_at_once(capsys):
+    # 10^12 + 61 is a prime of the form 4m + 1: lemma 1 would build m codewords
+    rc, out, err = run(capsys, "construct", "lemma1", "--p", "1000000000061", "--w", "3")
+    assert (rc, out) == (4, "")
+    assert "250000000015 codewords above cap 1000000; pass a larger cap (--cap)" in err
+    assert run(capsys, "construct", "lemma1", "--p", "13", "--w", "3", "--cap", "2")[0] == 4
+    assert run(capsys, "construct", "lemma1", "--p", "13", "--w", "3", "--cap", "3")[0] == 0
+
+
+def test_construct_rejects_a_negative_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "lemma1", "--p", "13", "--w", "3", "--cap", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--cap" in err and "Traceback" not in err
+
+
 def test_verify_certificate_and_code(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
     rc, _, _ = run(capsys, "construct", "two-prime", "--p", "3", "--q", "5",
@@ -199,6 +216,21 @@ def test_verify_detects_conflict(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", str(bad))
     assert rc == 3
     assert "share difference 1" in out
+
+
+def test_verify_a_short_code_of_huge_length(tmp_path, capsys):
+    # three codewords at L = 10^15: verify_cac's owners go in a dict, not L slots
+    good, clash = tmp_path / "good.json", tmp_path / "clash.json"
+    good.write_text(json.dumps({"L": 10**15, "w": 3, "generators": [10**14, 3, 7]}))
+    # d*(5 * 10^13) shares 10^14 and L - 10^14 with d*(10^14), not its least 5 * 10^13
+    clash.write_text(json.dumps({"L": 10**15, "w": 3, "generators": [10**14, 3, 5 * 10**13]}))
+    rc, out, _ = run(capsys, "verify", str(good))
+    assert rc == 0
+    assert out == ("ok: (1000000000000000,3) CAC, 3 codewords, tight=False, "
+                   "bound floor 250000000000000\n")
+    rc, out, _ = run(capsys, "verify", str(clash))
+    assert rc == 3
+    assert out == "FAIL: codewords 0 and 2 share difference 100000000000000\n"
 
 
 def test_verify_file_errors(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import pickle
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -225,29 +228,86 @@ def _verify_reference(code):
     return True, None, None, len(owner)
 
 
+def _keep_disjoint(L, w, gens):
+    """The generators whose difference sets miss all kept ones: a CAC."""
+    kept, seen = [], set()
+    for g in gens:
+        d = difference_set(EquiDiffCodeword(L, w, g)).elements
+        if seen.isdisjoint(d):
+            kept.append(g)
+            seen |= d
+    return kept
+
+
 @st.composite
 def _codes(draw):
-    L = draw(st.integers(2, 90))
-    w = draw(st.integers(2, min(L, 7)))
-    valid = [g for g in range(1, L) if L // math.gcd(L, g) >= w]
-    gens = draw(st.lists(st.sampled_from(valid), max_size=10))
+    """(dense, code): verify_cac's list of L owners when dense, else its dict.
+
+    A dense code has L <= 16(w-1), so any one codeword makes it dense; a
+    sparse one has at most 10 codewords and L > 160(w-1), up to 10^12.
+    """
+    dense = draw(st.booleans())
+    w = draw(st.integers(2, 7))
+    if dense:
+        L = draw(st.integers(w, 16 * (w - 1)))
+        valid = [g for g in range(1, L) if L // math.gcd(L, g) >= w]
+        gens = draw(st.lists(st.sampled_from(valid), min_size=1, max_size=10))
+    else:
+        L = draw(st.integers(160 * (w - 1) + 1, 10**12))
+        gens = draw(st.lists(st.integers(1, L - 1).filter(
+            lambda g: L // math.gcd(L, g) >= w), max_size=10))
+        # clashes are rare among random generators of a long code: derive
+        # some as j*g, whose difference set holds jg from g's
+        for _ in range(draw(st.integers(0, 10 - len(gens)))):
+            if gens:
+                g = draw(st.sampled_from(gens)) * draw(st.integers(1, w - 1)) % L
+                if g and L // math.gcd(L, g) >= w:
+                    gens.append(g)
     if draw(st.booleans()):
-        # keep only generators whose difference sets miss the kept ones: a CAC
-        kept, seen = [], set()
-        for g in gens:
-            d = difference_set(EquiDiffCodeword(L, w, g)).elements
-            if seen.isdisjoint(d):
-                kept.append(g)
-                seen |= d
-        gens = kept
-    return Code.from_generators(L, w, gens)
+        gens = _keep_disjoint(L, w, gens)
+    return dense, Code.from_generators(L, w, gens)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(code=_codes())
-def test_verify_cac_matches_sorted_scan(code):
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=_codes())
+def test_verify_cac_matches_sorted_scan(case):
+    dense, code = case
+    assert (code.length <= 16 * (code.weight - 1) * len(code)) == dense
     rep = verify_cac(code)
     assert (rep.ok, rep.pair, rep.witness, rep.covered) == _verify_reference(code)
+
+
+def test_verify_cac_memory_per_residue():
+    code = construct_lemma1(50021, 3).code
+    tracemalloc.start()
+    try:
+        assert verify_cac(code).covered == 50020
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of owners is 8 B per residue; a set of the ints took about 88
+    assert peak / code.length < 24
+
+
+def test_slotted_value_classes():
+    # slots drop the per-instance __dict__; the value semantics stay
+    cw = EquiDiffCodeword(13, 3, 2)
+    ds = difference_set(cw)
+    cases = [
+        (cw, (13, 3, 2), "EquiDiffCodeword(length=13, weight=3, generator=2)"),
+        (ds, (13, frozenset({2, 4, 9, 11})),
+         f"DifferenceSet(length=13, elements={frozenset({2, 4, 9, 11})!r})"),
+    ]
+    for obj, fields, text in cases:
+        assert not hasattr(obj, "__dict__")
+        assert obj == type(obj)(*fields) and hash(obj) == hash(fields)
+        assert repr(obj) == text
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert twin == obj and hash(twin) == hash(obj) and repr(twin) == text
+        with pytest.raises(FrozenInstanceError):
+            obj.length = 14
+    assert cw != EquiDiffCodeword(13, 3, 3)
+    assert ds != difference_set(EquiDiffCodeword(13, 3, 3))
 
 
 def test_is_tight():

@@ -23,6 +23,7 @@ from cacforge.constructions import (
     find_theorem1_params,
 )
 from cacforge.errors import (
+    BudgetExceeded,
     ConditionNotSatisfied,
     InputNotOptimal,
     InputNotTight,
@@ -298,6 +299,32 @@ def test_prime_length_construction_factors_once(monkeypatch):
     # primitive_root and divisors, then one factorization per divisor s of 153
     find_theorem1_params(919, 4)
     assert calls == [918, 153] + [918] * 6
+
+
+def test_constructions_refuse_codes_above_the_cap(monkeypatch):
+    import cacforge.constructions as constructions
+
+    c5, c13 = construct_lemma1(5, 3), construct_lemma1(13, 3)
+    builds = {  # codeword count: the construction with a given cap
+        3: lambda cap: construct_lemma1(13, 3, cap=cap),
+        4: lambda cap: construct_theorem1(Theorem1Params(17, 3, 2, 2, 3), cap),
+        16: lambda cap: construct_theorem2(c5, c13, cap),
+        10: lambda cap: construct_two_prime(3, 13, 3, cap),
+    }
+    for count, build in builds.items():
+        assert len(build(count).code) == count
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            build(-1)
+
+    def built(*args):
+        raise AssertionError("a refused construction must refuse before it builds")
+
+    # the count comes from the parameters: no factorization, unit group or code
+    for name in ("factorize", "unit_group", "Code"):
+        monkeypatch.setattr(constructions, name, built)
+    for count, build in builds.items():
+        with pytest.raises(BudgetExceeded, match=f"^{count} codewords above cap {count - 1};"):
+            build(count - 1)
 
 
 def test_theorem2_compose():

@@ -61,7 +61,6 @@ from .errors import (
     InputNotTight,
     LengthsNotCoprimePrimes,
     NotACac,
-    NotASubgroupOf,
     NotAUnit,
     NotExceptional,
     NotPrime,
@@ -74,17 +73,13 @@ from .errors import (
 from .numtheory import (
     CyclicSubgroup,
     Factorization,
-    cosets,
     cyclic_subgroup,
     divisors,
     factorize,
     is_prime,
-    is_sdr,
     multiplicative_order,
     primitive_root,
-    sdr_offender,
     totient,
-    unit_group,
 )
 from .oracle import (
     DisjointnessGraph,

@@ -27,6 +27,8 @@ from .errors import (
 )
 
 EXHAUSTIVE_BUDGET = 5_000_000
+# bits simulate may spend on its L-bit masks, one per codeword plus the full mask
+MASK_BITS_BUDGET = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -151,13 +153,16 @@ def simulate(sc: Scenario) -> SimReport:
     users = sample(range(n), k) and then one randrange(L) delay per user,
     in pick order, would draw; the draws are made from getrandbits
     directly. per_user aggregates success-slot counts by codeword index;
-    a violation records any run that left some user at zero.
+    a violation records any run that left some user at zero. n + 1 masks of
+    L bits above MASK_BITS_BUDGET raise BudgetExceeded before any is built.
     """
     code = sc.code
     report = verify_cac(code)
     if not report.ok:
         raise NotACac(f"difference {report.witness} shared by codewords {report.pair}", report)
     L = code.length
+    if (len(code) + 1) * L > MASK_BITS_BUDGET:
+        raise BudgetExceeded(f"{len(code) + 1} masks of {L} bits exceed {MASK_BITS_BUDGET}")
     full = (1 << L) - 1
     masks = [to_protocol_sequence(cw).mask for cw in code.codewords]
 

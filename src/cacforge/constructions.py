@@ -19,6 +19,7 @@ before it builds anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .bounds import new_bound
 from .codes import Certificate, CertFlags, Code, is_tight, verify_cac
@@ -37,16 +38,13 @@ from .errors import (
     SdrConditionFailed,
 )
 from .numtheory import (
-    cosets,
     cyclic_subgroup,
     divisors,
     factorize,
     is_prime,
-    is_sdr,
     multiplicative_order,
     primitive_root,
-    sdr_offender,
-    unit_group,
+    totient,
     CyclicSubgroup,
 )
 
@@ -174,16 +172,35 @@ def construct_theorem1(params: Theorem1Params, cap: int = DEFAULT_CODEWORD_CAP) 
     )
 
 
-def _theorem1_sdr_holds(p: int, w: int, m: int) -> bool:
-    """Whether 1..w-1 is an SDR of the cosets of N1 in H, by exponentiation.
+def _n1_key(j: int, p: int, w: int, m: int) -> int | None:
+    """The key j^(2m) mod p of j's coset of N1 when j lies in H, else None.
 
     Z_p^x is cyclic, so H and N1 are its unique subgroups of orders
     2m(w-1) and 2m: j lies in H iff j^(2m(w-1)) = 1, and j, k share an
-    N1-coset iff j^(2m) = k^(2m). There are w-1 cosets, so the w-1
-    representatives form an SDR iff all lie in H and no two share a coset.
+    N1-coset iff j^(2m) = k^(2m).
     """
-    keys = {pow(j, 2 * m, p) for j in range(1, w)}
-    return len(keys) == w - 1 and all(pow(k, w - 1, p) == 1 for k in keys)
+    key = pow(j, 2 * m, p)
+    return key if pow(key, w - 1, p) == 1 else None
+
+
+def _theorem1_sdr_holds(p: int, w: int, m: int) -> bool:
+    """Whether 1..w-1 is an SDR of the w-1 cosets of N1 in H: iff all lie
+    in H and no two share a coset."""
+    keys = {_n1_key(j, p, w, m) for j in range(1, w)}
+    return len(keys) == w - 1 and None not in keys
+
+
+def _offending_coset(p: int, w: int, m: int, n1: int) -> frozenset[int]:
+    """The coset x·N1 of least member x among those 1..w-1 hit zero or several times.
+
+    A hit coset's least member is its least representative, an unhit one's
+    is at least w: x is the least representative sharing its coset, else
+    the least x >= w in H whose coset no representative hits.
+    """
+    keys = [_n1_key(j, p, w, m) for j in range(1, w)]
+    x = (next((j for j, k in enumerate(keys, 1) if k is not None and keys.count(k) > 1), 0)
+         or next(x for x in range(w, p) if _n1_key(x, p, w, m) not in (None, *keys)))
+    return frozenset(x * h % p for h in cyclic_subgroup(n1, p).elements)
 
 
 def _prime_length_code(p: int, w: int, m: int, s: int, alpha: int | None,
@@ -205,14 +222,10 @@ def _prime_length_code(p: int, w: int, m: int, s: int, alpha: int | None,
         orders = multiplicative_order(h, p), multiplicative_order(n1, p)
         raise InconsistentClaim(f"subgroup orders {orders[0]}, {orders[1]} for p = {p}")
     if not _theorem1_sdr_holds(p, w, m):
-        def offender():
-            # the cosets are enumerated only when .coset is read
-            H, N1 = cyclic_subgroup(h, p), cyclic_subgroup(n1, p)
-            return sdr_offender(range(1, w), cosets(N1, H.elements))
-
+        # the coset is built only when .coset is read
         raise SdrConditionFailed(
             f"1..{w - 1} is not an SDR of the cosets of <{n1}> in <{h}> mod {p}",
-            coset=offender,
+            coset=lambda: _offending_coset(p, w, m, n1),
         )
     step = s * (w - 1)
     gens = [pow(alpha, i + step * j, p) for i in range(s) for j in range(m)]
@@ -282,26 +295,33 @@ def check_condition(L: int, w: int, kind: int) -> ConditionWitness | None:
     Returns None when no cyclic witness exists. Only cyclic subgroups are
     searched; a qualifying non-cyclic subgroup would not yield the
     generator enumeration the constructions need.
+
+    The reps, one per coset, are an SDR iff all are units and no quotient
+    r_i·r_j^(-1), i < j, lies in H. Units in a subgroup already tried are
+    skipped, so each subgroup is tried once, from its least generator.
     """
     if kind not in (1, 2):
         raise ValueError(f"kind must be 1 or 2, got {kind}")
     if w < 2 or L < 2:
         raise ValueError(f"need L >= 2 and w >= 2, got ({L},{w})")
-    units = unit_group(L)
+    phi = totient(L)
     slots = (w - 1) if kind == 1 else 2 * (w - 1)
-    if len(units) % slots:
+    if phi % slots:
         return None
-    target = len(units) // slots
-    primes = factorize(target).primes
     reps = tuple(range(1, w)) if kind == 1 else tuple(
         v for j in range(1, w) for v in (j, L - j))
-    for a in sorted(units):
-        if not _order_is(a, target, L, primes):
+    if any(gcd(r, L) != 1 for r in reps):
+        return None
+    quotients = {r * pow(t, -1, L) % L for i, r in enumerate(reps) for t in reps[i + 1:]}
+    target = phi // slots
+    primes = factorize(target).primes
+    tried = set()  # the elements of every subgroup tried, at most phi(L)
+    for a in range(1, L):
+        if a in tried or gcd(a, L) != 1 or not _order_is(a, target, L, primes):
             continue
         H = cyclic_subgroup(a, L)
-        if ((L - 1) in H.elements) != (kind == 1):
-            continue
-        if is_sdr(reps, cosets(H, units)):
+        tried |= H.elements
+        if ((L - 1) in H.elements) == (kind == 1) and H.elements.isdisjoint(quotients):
             return ConditionWitness(kind, H, reps)
     return None
 

@@ -24,10 +24,6 @@ class NotPrimitive(CacError):
     pass
 
 
-class NotASubgroupOf(CacError):
-    pass
-
-
 class DegenerateCodeword(CacError):
     pass
 
@@ -59,9 +55,9 @@ class ParamMismatch(CacError):
 class SdrConditionFailed(CacError):
     """The required system of distinct representatives does not exist.
 
-    Carries the first offending coset (zero or several representatives).
-    coset may be given as a zero-argument callable; it is then called the
-    first time .coset is read, and its value is kept.
+    Carries the offending coset (zero or several representatives) with the
+    least member. coset may be given as a zero-argument callable; it is
+    then called the first time .coset is read, and its value is kept.
     """
 
     def __init__(self, message, coset=None):

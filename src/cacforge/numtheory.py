@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NotASubgroupOf, NotAUnit, NotPrime
+from .errors import NotAUnit, NotPrime
 
 # deterministic for all n < 3.3 * 10^24, far beyond 64-bit
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -172,50 +172,3 @@ def cyclic_subgroup(a: int, L: int) -> CyclicSubgroup:
         x = x * a % L
     return CyclicSubgroup(L, a, frozenset(elems), len(elems))
 
-
-def unit_group(L: int) -> frozenset[int]:
-    return frozenset(a for a in range(1, L) if gcd(a, L) == 1)
-
-
-def cosets(H: CyclicSubgroup, G_elements: frozenset[int]) -> list[frozenset[int]]:
-    """Partition G into multiplicative cosets of H, ordered by smallest member.
-
-    G must be closed under multiplication mod L and contain H; anything
-    else raises NotASubgroupOf.
-    """
-    L = H.modulus
-    if not H.elements <= G_elements:
-        raise NotASubgroupOf("H is not contained in G")
-    remaining = set(G_elements)
-    out = []
-    while remaining:
-        x = min(remaining)
-        coset = frozenset(x * h % L for h in H.elements)
-        if not coset <= remaining or len(coset) != H.order:
-            raise NotASubgroupOf("G is not a disjoint union of H-cosets")
-        remaining -= coset
-        out.append(coset)
-    return out
-
-
-def sdr_offender(reps, coset_partition) -> frozenset[int] | None:
-    """The first coset that reps hit zero or several times; None iff reps are an SDR.
-
-    A representative outside every coset also fails: once each coset is
-    hit exactly once, any further (stray) reps make the empty set the offender.
-    """
-    counts = [0] * len(coset_partition)
-    for r in reps:
-        for i, c in enumerate(coset_partition):
-            if r in c:
-                counts[i] += 1
-                break
-    for c, n in zip(coset_partition, counts):
-        if n != 1:
-            return c
-    return None if len(reps) == len(coset_partition) else frozenset()
-
-
-def is_sdr(reps, coset_partition) -> bool:
-    """True iff reps hit each coset exactly once (counting multiplicity)."""
-    return sdr_offender(reps, coset_partition) is None

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import cacforge.channel as channel
 from cacforge.channel import (
     EXHAUSTIVE_BUDGET,
+    MASK_BITS_BUDGET,
     Scenario,
     _below,
     _rot,
@@ -89,6 +90,25 @@ def test_simulate_rejects():
         simulate(Scenario(Code(9, 3, ()), trials=3))
     with pytest.raises(NotACac):
         simulate(Scenario(Code.from_generators(9, 3, [1, 4]), active=((0, 0),)))
+
+
+def test_simulate_mask_budget(monkeypatch):
+    code = Code.from_generators(9, 3, [1, 3])
+    explicit, sampled = Scenario(code, active=((0, 0), (1, 3))), Scenario(code, trials=5)
+    # two codewords and the full mask: 3 masks of 9 bits
+    monkeypatch.setattr(channel, "MASK_BITS_BUDGET", 27)
+    assert simulate(explicit).per_user == {0: 2, 1: 2}
+    assert simulate(sampled).runs == 5
+
+    def built(cw):
+        raise AssertionError("a refused scenario must refuse before it builds a mask")
+
+    monkeypatch.setattr(channel, "MASK_BITS_BUDGET", 26)
+    monkeypatch.setattr(channel, "to_protocol_sequence", built)
+    for sc in (explicit, sampled):
+        with pytest.raises(BudgetExceeded, match="^3 masks of 9 bits exceed 26$"):
+            simulate(sc)
+    assert MASK_BITS_BUDGET == 2 ** 30
 
 
 def test_simulate_sampling_deterministic():

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import resource
 import subprocess
 import sys
 import tempfile
@@ -400,6 +401,24 @@ def test_simulate_sampled_json_digest(tmp_path, capsys, make, seed, trials, dige
     rc, out, _ = run(capsys, "simulate", str(path), "--json")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_simulate_refuses_a_huge_length_at_once(tmp_path):
+    # four 10^12-bit masks would be 500 GB; the address-space limit turns a
+    # missing guard into a MemoryError instead of exhausting the machine
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"code": {"L": 10**12, "w": 3, "generators": [10**11, 3, 7]},
+                                "seed": 1, "trials": 5}))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "cacforge", "simulate", str(path)],
+                          capture_output=True, text=True, env=subprocess_env(), timeout=60,
+                          preexec_fn=limit_memory)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == ("cacforge: budget exceeded: 4 masks of 1000000000000 bits "
+                           "exceed 1073741824\n")
 
 
 _CODE_9_3 = {"L": 9, "w": 3, "generators": [1, 3]}

@@ -3,9 +3,12 @@ import pickle
 import subprocess
 import sys
 from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cacforge
 from cacforge.bounds import new_bound
@@ -35,16 +38,16 @@ from cacforge.errors import (
     SdrConditionFailed,
 )
 from cacforge.numtheory import (
-    cosets,
     cyclic_subgroup,
     divisors,
     factorize,
     is_prime,
     multiplicative_order,
     primitive_root,
-    sdr_offender,
+    totient,
 )
 from conftest import subprocess_env
+from coset_reference import condition, theorem1_offender
 
 
 def _hand_certificate(L, w, gens):
@@ -130,9 +133,7 @@ def test_theorem1_sdr_by_exponents_matches_coset_enumeration():
                 continue
             for s in divisors((p - 1) // (2 * w - 2)):
                 m = (p - 1) // (2 * w - 2) // s
-                H = cyclic_subgroup(pow(alpha, s, p), p)
-                N1 = cyclic_subgroup(pow(alpha, s * (w - 1), p), p)
-                expected = sdr_offender(range(1, w), cosets(N1, H.elements)) is None
+                expected = theorem1_offender(p, w, s, alpha) is None
                 assert _theorem1_sdr_holds(p, w, m) is expected, (p, w, s)
                 cases += 1
     assert cases == 6794
@@ -203,6 +204,25 @@ def test_no_assert_in_the_package():
     assert found == []
 
 
+def test_no_unused_import_in_the_package():
+    # a name a module imports and never reads is a leftover; __init__ re-exports
+    modules = sorted(set(Path(cacforge.__file__).parent.glob("*.py"))
+                     - {Path(cacforge.__file__)})
+    assert len(modules) >= 9
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {(alias.asname or alias.name).partition(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []
+
+
 def _counting(counts, name, fn):
     def wrapper(*args, **kwargs):
         counts[name] += 1
@@ -216,7 +236,6 @@ def test_offending_coset_is_built_only_when_read(monkeypatch):
     counts = Counter()
     monkeypatch.setattr(constructions, "cyclic_subgroup",
                         _counting(counts, "cyclic_subgroup", cyclic_subgroup))
-    monkeypatch.setattr(constructions, "cosets", _counting(counts, "cosets", cosets))
     failing = []
     for p in range(3, 400):
         if not is_prime(p):
@@ -229,19 +248,22 @@ def test_offending_coset_is_built_only_when_read(monkeypatch):
             failing += [(p, w, s) for s in divisors(total) if s not in passing]
     assert counts == Counter()
     assert len(failing) == 397
+    kinds = Counter()
     for p, w, s in failing:
         alpha = primitive_root(p)
         m = (p - 1) // (2 * w - 2) // s
         with pytest.raises(SdrConditionFailed) as ei:
             construct_theorem1(Theorem1Params(p, w, m, s, alpha))
         assert counts == Counter()
-        H = cyclic_subgroup(pow(alpha, s, p), p)
-        N1 = cyclic_subgroup(pow(alpha, s * (w - 1), p), p)
-        expected = sdr_offender(range(1, w), cosets(N1, H.elements))
+        expected = theorem1_offender(p, w, s, alpha)
         assert ei.value.coset == expected is not None, (p, w, s)
         assert ei.value.coset is ei.value.coset
-        assert counts == Counter({"cyclic_subgroup": 2, "cosets": 1}), (p, w, s)
+        assert counts == Counter({"cyclic_subgroup": 1}), (p, w, s)
         counts.clear()
+        # a coset left unhit has its least member >= w; one hit twice, below w
+        kinds["unhit" if min(expected) >= w else "multi-hit"] += 1
+        kinds["multi-hit outside N1"] += min(expected) < w and 1 not in expected
+    assert kinds == Counter({"unhit": 287, "multi-hit": 110, "multi-hit outside N1": 24})
 
 
 def test_exact_order_test_matches_multiplicative_order():
@@ -319,8 +341,8 @@ def test_constructions_refuse_codes_above_the_cap(monkeypatch):
     def built(*args):
         raise AssertionError("a refused construction must refuse before it builds")
 
-    # the count comes from the parameters: no factorization, unit group or code
-    for name in ("factorize", "unit_group", "Code"):
+    # the count comes from the parameters: no factorization, totient or code
+    for name in ("factorize", "totient", "Code"):
         monkeypatch.setattr(constructions, name, built)
     for count, build in builds.items():
         with pytest.raises(BudgetExceeded, match=f"^{count} codewords above cap {count - 1};"):
@@ -393,29 +415,41 @@ def test_check_condition_factors_once(monkeypatch):
 
 
 def test_check_condition_matches_multiplicative_order():
-    from cacforge.numtheory import cosets, cyclic_subgroup, is_sdr, multiplicative_order, unit_group
-
-    def reference(L, w, kind):
-        units = unit_group(L)
-        slots = (w - 1) if kind == 1 else 2 * (w - 1)
-        if len(units) % slots:
-            return None
-        reps = tuple(range(1, w)) if kind == 1 else tuple(
-            v for j in range(1, w) for v in (j, L - j))
-        for a in sorted(units):
-            if multiplicative_order(a, L) != len(units) // slots:
-                continue
-            H = cyclic_subgroup(a, L)
-            if ((L - 1) in H.elements) == (kind == 1) and is_sdr(reps, cosets(H, units)):
-                return (a, H.order, reps)
-        return None
-
     for L in range(2, 160):
         for w in range(2, 6):
             for kind in (1, 2):
                 wit = check_condition(L, w, kind)
                 got = None if wit is None else (wit.H.generator, wit.H.order, wit.reps)
-                assert got == reference(L, w, kind), (L, w, kind)
+                assert got == condition(L, w, kind), (L, w, kind)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(2, 2000), st.integers(2, 7), st.sampled_from([1, 2]))
+# the cosets' count divides phi(L), but some representative is not a unit
+@example(45, 4, 1)
+@example(16, 3, 2)
+@example(1990, 3, 2)
+@example(1995, 7, 2)
+def test_check_condition_matches_the_coset_reference(L, w, kind):
+    wit = check_condition(L, w, kind)
+    got = None if wit is None else (wit.H.generator, wit.H.order, wit.reps)
+    assert got == condition(L, w, kind)
+
+
+def test_check_condition_tries_each_subgroup_once(monkeypatch):
+    import cacforge.constructions as constructions
+
+    counts = Counter()
+    monkeypatch.setattr(constructions, "cyclic_subgroup",
+                        _counting(counts, "cyclic_subgroup", cyclic_subgroup))
+    L, w = 14015, 4
+    target = totient(L) // (2 * (w - 1))
+    # a cyclic group of order t has phi(t) generators
+    of_target = sum(1 for a in range(1, L) if gcd(a, L) == 1
+                    and multiplicative_order(a, L) == target)
+    assert check_condition(L, w, 2) is None
+    assert of_target % totient(target) == 0
+    assert counts == Counter({"cyclic_subgroup": of_target // totient(target)})
 
 
 def test_condition_witness_json():

@@ -44,7 +44,14 @@ class ProtocolSequence:
         return tuple(self.mask >> t & 1 for t in range(self.length))
 
 
+def _check_mask_bits(L: int) -> None:
+    if L > MASK_BITS_BUDGET:
+        raise BudgetExceeded(f"a mask of {L} bits exceeds {MASK_BITS_BUDGET}")
+
+
 def to_protocol_sequence(cw: EquiDiffCodeword) -> ProtocolSequence:
+    """The codeword's L-bit slot mask; BudgetExceeded above MASK_BITS_BUDGET bits."""
+    _check_mask_bits(cw.length)
     return ProtocolSequence(cw.length, sum(1 << t for t in support(cw)), cw.weight)
 
 
@@ -55,9 +62,13 @@ def _rot(mask: int, d: int, L: int, full: int) -> int:
 
 
 def cross_correlation(a: ProtocolSequence, b: ProtocolSequence, tau: int) -> int:
-    """Number of slots t with a[t] = 1 and b[(t + tau) mod L] = 1."""
+    """Number of slots t with a[t] = 1 and b[(t + tau) mod L] = 1.
+
+    Its L-bit masks are refused above MASK_BITS_BUDGET bits (BudgetExceeded).
+    """
     if a.length != b.length:
         raise ValueError(f"length mismatch: {a.length} vs {b.length}")
+    _check_mask_bits(a.length)
     full = (1 << a.length) - 1
     return (a.mask & _rot(b.mask, tau, a.length, full)).bit_count()
 

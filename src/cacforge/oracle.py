@@ -56,18 +56,28 @@ The search stops as soon as the incumbent reaches a volume ceiling. A
 clique is a family of disjoint subsets of Z_L minus 0, so it has no more
 members than the smallest difference sets that fit into L - 1 elements
 together. At prime L that is the floor (L - 1)/(2w - 2) which theorem 1
-meets: the search proves (355, 6) in 100 nodes and (229, 3) in 457,
-where it took 175 and 1,113 without the refutation, 3,000 and 1,490
-cold, and 2,916 at (229, 3) without the stop. Where the maximum lies
-below the ceiling, as at (671, 11) (ceiling 34) and (504, 9) (ceiling
-32), the tree is searched to its end.
+meets. Where the maximum lies below the ceiling, as at (671, 11)
+(ceiling 34) and (504, 9) (ceiling 32), the tree is searched to its end.
+
+The same count cuts single branches, as exact-cover solvers do (Knuth,
+"Dancing Links", 2000); `_residue_cut` gives the argument. The residues
+a clique leaves open must hold the sets it still needs; when they hold
+them exactly, every open column {x, L - x} needs a holder, and unit
+propagation runs over the column holders. These cuts too skip only
+subtrees without a clique above bar, so the witness is the same. The
+tight w = 3 primes become backtrack-free: (229, 3) takes 56 nodes (457
+without the residue cut, 1,113 also without the refutation, 1,490 cold,
+2,916 without the stop) and (355, 6) 34 (100, 175, 3,000 cold). The gap
+instances keep their counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress, count
 from math import gcd
+from operator import itemgetter, or_
 
 from .codes import (
     Certificate,
@@ -84,6 +94,7 @@ DEFAULT_NODE_BUDGET = 5_000_000
 _LENGTH_CAPS = {3: 200}
 _DEFAULT_CAP = 120
 _SUPPORT_CAP = 40
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -124,7 +135,8 @@ def build_graph(L: int, w: int) -> DisjointnessGraph:
     if L < w or w < 2:
         raise ValueError(f"need L >= w >= 2, got ({L},{w})")
     seen: dict[frozenset[int], int] = {}
-    for g in range(1, L):
+    # D(g) = D(L - g), so the first generator of every set is at most L/2
+    for g in range(1, L // 2 + 1):
         if L // gcd(L, g) < w:
             continue
         ds = difference_set(EquiDiffCodeword(L, w, g)).elements
@@ -170,12 +182,11 @@ def _greedy_color(P: int, non, kmin: int) -> tuple[list[int], list[int], list[in
 def _refuted(S: int, classes, rows) -> bool:
     """True if no clique inside S has a vertex in every class.
 
-    The classes are disjoint independent sets, so such a clique has exactly
-    one vertex in each. Unit propagation: a class that meets S in a single
-    vertex u forces u, and S keeps only u and its neighbours; a class that
-    S misses refutes. S never loses a forced vertex, since every vertex
-    forced later is its neighbour. True is always sound; False only means
-    that propagation found no contradiction.
+    Unit propagation: a class that meets S in a single vertex u forces u,
+    and S keeps only u and its neighbours; a class that S misses refutes.
+    S never loses a forced vertex, since every vertex forced later is its
+    neighbour. The classes may overlap. True is always sound; False only
+    means that propagation found no contradiction.
     """
     open_ = classes
     while open_:
@@ -195,18 +206,26 @@ def _refuted(S: int, classes, rows) -> bool:
 
 
 def _by_degree(adj, P: int) -> tuple[list[int], list[int]]:
-    """Vertices of P by non-increasing degree within P, and their rows
-    restricted to P, relabelled to positions in that order."""
-    verts = [v for v in range(len(adj)) if P >> v & 1]
+    """Vertices of a non-empty P by non-increasing degree within P, and
+    their rows restricted to P, relabelled to positions in that order."""
+    verts = _members(P)
     verts.sort(key=lambda v: -(adj[v] & P).bit_count())  # stable: ties keep vertex order
-    # relabel through bit strings: bits[u] is bit u of adj[v], and the string
-    # given to int() lists the positions from the highest down
-    width, back = len(adj), verts[::-1]
-    rows = []
-    for v in verts:
-        bits = format(adj[v], f"0{width}b")[::-1]
-        rows.append(int("".join([bits[u] for u in back]), 2))
-    return verts, rows
+    # relabel through bit strings: character width - 1 - u of the string is
+    # bit u of adj[v], and the string given to int() lists the positions
+    # from the highest down
+    width = len(adj)
+    pick = itemgetter(*[width - 1 - u for u in reversed(verts)])
+    return verts, [int("".join(pick(format(adj[v], f"0{width}b"))), 2) for v in verts]
+
+
+def _bits(P: int) -> bytes:
+    """Bit k of P as byte k: 1 or 0."""
+    return bin(P)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _members(P: int) -> list[int]:
+    """The set bits of P, lowest first."""
+    return list(compress(count(), _bits(P)))
 
 
 def _volume_ceiling(sizes, L: int) -> int:
@@ -236,22 +255,46 @@ def _degree_greedy(adj) -> list[int]:
     clique: list[int] = []
     P = (1 << len(adj)) - 1
     while P:
-        verts = [v for v in range(len(adj)) if P >> v & 1]
-        v = max(verts, key=lambda u: (adj[u] & P).bit_count())  # first maximum
+        verts = _members(P)
+        degrees = [(adj[u] & P).bit_count() for u in verts]
+        v = verts[degrees.index(max(degrees))]  # first maximum
         clique.append(v)
         P &= adj[v]
     return clique
 
 
-def _max_clique(adj, orbits, budget: int, ceiling: int) -> tuple[int, list[int], int]:
+def _residue_cut(L: int, spare: int, sub: int, open_: int, masks, holders, rows, classes) -> bool:
+    """True if counting residues refutes every clique inside sub that beats bar.
+
+    open_ marks the residues of Z_L minus 0 that the path leaves uncovered,
+    masks[k] the residues of candidate k, and spare is how many residues a
+    clique that beats bar can leave uncovered. Below 0 no such clique fits.
+    At 0 it covers every open residue. Every set is closed under negation,
+    so the residues pair into columns {x, L - x}, x <= L/2, and holders[x]
+    is the mask of the candidates holding column x. They share a residue,
+    so they are an independent set that the clique meets once, and unit
+    propagation over the open columns and the given colour classes decides.
+    Above 0, more open residues that no candidate holds than spare refute.
+    """
+    if spare < 0:
+        return True
+    if spare == 0:
+        columns = _members(open_ & (2 << L // 2) - 2)
+        return _refuted(sub, [holders[x] for x in columns] + classes, rows)
+    return (open_ & ~reduce(or_, compress(masks, _bits(sub)))).bit_count() > spare
+
+
+def _max_clique(adj, orbits, budget: int, ceiling: int, sets) -> tuple[int, list[int], int]:
     """Exact maximum clique over the bitmask adjacency; returns (size, members, nodes).
 
     orbits partitions the vertices into automorphism orbits, taken in the
     given order; singleton orbits give the search without symmetry breaking.
     ceiling bounds every clique's size (len(adj) always does); the search
-    stops as soon as the incumbent reaches it. A clique is recorded only
-    when it beats bar, the size that prunes; the members returned are those
-    the exhaustive search from the vertex-order greedy incumbent returns.
+    stops as soon as the incumbent reaches it. sets[i] is the residue set of
+    vertex i, a subset of Z_L minus 0 closed under negation, and adjacent
+    vertices have disjoint sets. A clique is recorded only when it beats
+    bar, the size that prunes; the members returned are those the
+    exhaustive search from the vertex-order greedy incumbent returns.
     """
     if not adj:
         return 0, [], 0
@@ -271,10 +314,17 @@ def _max_clique(adj, orbits, budget: int, ceiling: int) -> tuple[int, list[int],
     if len(warm) - 1 > bar:
         best, bar = warm, len(warm) - 1
 
+    # a set closed under negation mod L has least and largest elements x, L - x
+    L = min(sets[0]) + max(sets[0])
+    residues = [sum(1 << x for x in s) for s in sets]
+    smin = min(map(len, sets))
     nodes = 0
     current: list[int] = []  # members in the caller's vertex labels
 
-    def expand(size: int, P: int, rows, non, verts) -> None:
+    # the subproblem's tables go in as arguments: expand refers to itself, and
+    # whatever its closure holds lives until the cycle collector runs
+    def expand(size: int, P: int, open_: int, rows, non, verts, masks, holders) -> None:
+        # open_ marks the residues the path leaves uncovered
         nonlocal nodes, best, bar
         if nodes == budget:
             raise BudgetExceeded(
@@ -291,13 +341,23 @@ def _max_clique(adj, orbits, budget: int, ceiling: int) -> tuple[int, list[int],
             work ^= 1 << v
             current.append(verts[v])
             sub = work & rows[v]
-            # sub lies in classes 1..c-1; when just enough of them are left
-            # and all were peeled, an improving clique takes one vertex each
             if sub:
+                # sub lies in classes 1..c-1; when just enough of them are
+                # left and all were peeled, an improving clique takes one
+                # vertex each
+                tight = size + c == bar + 1 and c - 1 == len(peeled)
+                # an improving clique takes bar - size more sets of at least
+                # smin residues each from those v leaves open
+                rest = open_ ^ masks[v]
+                spare = rest.bit_count() - (bar - size) * smin
                 if not (
-                    size + c == bar + 1 and c - 1 == len(peeled) and _refuted(sub, peeled, rows)
+                    spare < 2 * smin
+                    and _residue_cut(
+                        L, spare, sub, rest, masks, holders, rows, peeled if tight else []
+                    )
+                    or tight and _refuted(sub, peeled, rows)
                 ):
-                    expand(size + 1, sub, rows, non, verts)
+                    expand(size + 1, sub, rest, rows, non, verts, masks, holders)
             elif size + 1 > bar:
                 best = current.copy()
                 bar = size + 1
@@ -318,8 +378,15 @@ def _max_clique(adj, orbits, budget: int, ceiling: int) -> tuple[int, list[int],
             continue
         verts, rows = _by_degree(adj, P)
         non = [~(row | 1 << k) for k, row in enumerate(rows)]
+        masks = [residues[v] for v in verts]
+        holders = [0] * (L // 2 + 1)
+        for k, v in enumerate(verts):
+            for x in sets[v]:
+                if x + x <= L:
+                    holders[x] |= 1 << k
         current.append(r)
-        expand(1, (1 << len(verts)) - 1, rows, non, verts)
+        open_ = (1 << L) - 2 ^ residues[r]
+        expand(1, (1 << len(verts)) - 1, open_, rows, non, verts, masks, holders)
         current.pop()
     return len(best), best, nodes
 
@@ -364,7 +431,9 @@ def max_equi_diff_cac(
     graph = build_graph(L, w)
     ceiling = _volume_ceiling(map(len, graph.vertices), L)
     try:
-        size, members, nodes = _max_clique(graph.adjacency, graph.unit_orbits(), budget, ceiling)
+        size, members, nodes = _max_clique(
+            graph.adjacency, graph.unit_orbits(), budget, ceiling, graph.vertices
+        )
     except BudgetExceeded as e:
         if e.best is not None:
             gens = [graph.generators[i] for i in e.best]
@@ -420,7 +489,9 @@ def max_general_cac(
     adj = _disjointness_rows(sets)
     ceiling = _volume_ceiling(map(len, sets), L)
     try:
-        size, members, _ = _max_clique(adj, [[i] for i in range(len(adj))], budget, ceiling)
+        size, members, _ = _max_clique(
+            adj, [[i] for i in range(len(adj))], budget, ceiling, sets
+        )
     except BudgetExceeded as e:
         e.best = [items[i][1] for i in e.best]
         raise

@@ -12,6 +12,7 @@ import cacforge.channel as channel
 from cacforge.channel import (
     EXHAUSTIVE_BUDGET,
     MASK_BITS_BUDGET,
+    ProtocolSequence,
     Scenario,
     _below,
     _rot,
@@ -109,6 +110,27 @@ def test_simulate_mask_budget(monkeypatch):
         with pytest.raises(BudgetExceeded, match="^3 masks of 9 bits exceed 26$"):
             simulate(sc)
     assert MASK_BITS_BUDGET == 2 ** 30
+
+
+def test_protocol_masks_refuse_lengths_above_the_budget(monkeypatch):
+    cw = EquiDiffCodeword(9, 3, 1)
+    monkeypatch.setattr(channel, "MASK_BITS_BUDGET", 9)
+    seq = to_protocol_sequence(cw)
+    assert cross_correlation(seq, seq, 0) == 3
+
+    def built(cw):
+        raise AssertionError("a refused mask must be refused before it is built")
+
+    monkeypatch.setattr(channel, "MASK_BITS_BUDGET", 8)
+    monkeypatch.setattr(channel, "support", built)
+    with pytest.raises(BudgetExceeded, match="^a mask of 9 bits exceeds 8$"):
+        to_protocol_sequence(cw)
+    # a sequence given directly: its mask holds one bit, but the rotation
+    # and the full mask would take L bits each
+    with pytest.raises(BudgetExceeded, match="^a mask of 9 bits exceeds 8$"):
+        cross_correlation(seq, ProtocolSequence(9, 1, 3), 1)
+    with pytest.raises(ValueError, match="length mismatch"):
+        cross_correlation(seq, ProtocolSequence(7, 1, 3), 1)
 
 
 def test_simulate_sampling_deterministic():

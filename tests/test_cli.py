@@ -351,7 +351,7 @@ def test_search_bad_witness_exit(capsys, monkeypatch):
     g = oracle.build_graph(13, 3)
     j = next(j for j in range(1, len(g.vertices)) if not g.adjacency[0] >> j & 1)
     monkeypatch.setattr(oracle, "_max_clique",
-                        lambda adj, orbits, budget, ceiling: (2, [0, j], 1))
+                        lambda adj, orbits, budget, ceiling, sets: (2, [0, j], 1))
     rc, _, err = run(capsys, "search", "13", "3")
     assert rc == 3
     assert "NotACac" in err

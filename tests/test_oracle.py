@@ -13,16 +13,19 @@ from hypothesis import strategies as st
 
 import cacforge
 import cacforge.oracle as oracle
+import oracle_reference
 from cacforge.bounds import new_bound
 from cacforge.codes import Code, verify_cac
 from cacforge.constructions import construct_lemma1
 from cacforge.errors import BudgetExceeded
 from cacforge.numtheory import is_prime
 from cacforge.oracle import (
+    _by_degree,
     _degree_greedy,
     _disjointness_rows,
     _max_clique,
     _refuted,
+    _residue_cut,
     _volume_ceiling,
     build_graph,
     certify,
@@ -158,8 +161,8 @@ def test_ceiling_stop_keeps_size_and_witness(L, w):
         return
     g = build_graph(L, w)
     orbits = g.unit_orbits()
-    stopped = _max_clique(g.adjacency, orbits, 10**7, _ceiling(L, w))
-    exhausted = _max_clique(g.adjacency, orbits, 10**7, len(g.adjacency))
+    stopped = _max_clique(g.adjacency, orbits, 10**7, _ceiling(L, w), g.vertices)
+    exhausted = _max_clique(g.adjacency, orbits, 10**7, len(g.adjacency), g.vertices)
     assert stopped[:2] == exhausted[:2]
     assert stopped[2] <= exhausted[2]
 
@@ -168,29 +171,46 @@ def test_ceiling_stop_keeps_size_and_witness(L, w):
 def test_ceiling_stop_node_pins(L, w, most):
     # the maximum meets the floor here: 1, 307 and 2,916 nodes without the stop,
     # 0, 80 and 1,490 with it but without the warm start, 0, 40 and 1,113
-    # without the refutation
+    # without the refutation, 0, 40 and 457 without the residue cut
     res = max_equi_diff_cac(L, w, cap=L)
     assert res.size == _ceiling(L, w) == new_bound(L, w).floor_value
     assert res.nodes <= most
+
+
+@pytest.mark.parametrize("L,w,nodes", [(241, 4, 39), (229, 3, 56)])
+def test_residue_cut_node_pins(L, w, nodes):
+    # the same tight instances with the residue-column cuts: 40 and 457 before
+    res = max_equi_diff_cac(L, w, cap=L)
+    assert res.size == _ceiling(L, w)
+    assert res.nodes == nodes
 
 
 @pytest.mark.parametrize("L,w,nodes", [(157, 4, 160), (193, 4, 507), (205, 4, 358)])
 def test_gap_instances_keep_their_node_counts(L, w, nodes):
     # the maximum lies below the ceiling, so the whole tree is searched
     # (646, 1,776 and 2,282 nodes without the warm start, 617, 1,752 and
-    # 2,275 without the refutation)
+    # 2,275 without the refutation); the residue cut never fires here
     res = max_equi_diff_cac(L, w, cap=L)
     assert res.size < _ceiling(L, w)
     assert res.nodes == nodes
 
 
+# the eight instances of the benchmark's search workload
+BENCH_SEARCH = [(181, 4), (197, 3), (229, 3), (241, 4), (157, 4), (193, 4), (205, 4), (355, 6)]
+
+
+def test_bench_search_node_total():
+    # 1,866 nodes without the residue cut: 35, 209, 457, 40, 160, 507, 358, 100
+    assert sum(max_equi_diff_cac(L, w, cap=L).nodes for L, w in BENCH_SEARCH) == 1_231
+
+
 def test_warm_start_pin_355_6():
     # the maximum 35 meets the ceiling; the vertex-order greedy finds 21 and
-    # the max-degree greedy 35, so the search needs 100 nodes, not 3,000
-    # (175 without the refutation)
+    # the max-degree greedy 35, so the search needs 34 nodes, not 3,000
+    # (175 without the refutation, 100 without the residue cut's dead count)
     res = max_equi_diff_cac(355, 6, cap=355)
     assert res.size == _ceiling(355, 6) == 35
-    assert res.nodes == 100
+    assert res.nodes == 34
 
 
 def test_budget_stop_carries_the_warm_start():
@@ -212,6 +232,17 @@ def test_search_json_digest():
     assert h.hexdigest() == "5b1260eae54d197c9d9d2132a8225b0354c0c1a48b6f9a2651ae469b0bf719e0"
 
 
+def test_wider_search_json_digest():
+    # frozen outputs above the first digest's range: w = 3 and 4 for
+    # L = 122..200, then w = 5 and 6 for L = 122..180, in that order
+    h = hashlib.sha256()
+    for w, top in [(3, 200), (4, 200), (5, 180), (6, 180)]:
+        for L in range(122, top + 1):
+            obj = max_equi_diff_cac(L, w, cap=L).to_json()
+            h.update((json.dumps(obj, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == "4a7ae95bbb2f4580af841ae1a93555b8f8858e4aaa440d1e675fd239344f5d17"
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(2, 110), st.integers(2, 6))
 @example(13, 3)  # the vertex-order greedy already meets the maximum
@@ -223,10 +254,10 @@ def test_warm_start_keeps_size_and_witness(L, w):
     g = build_graph(L, w)
     ceiling = _ceiling(L, w)
     for orbits in (g.unit_orbits(), [[i] for i in range(len(g.adjacency))]):
-        warm = _max_clique(g.adjacency, orbits, 10**7, ceiling)
+        warm = _max_clique(g.adjacency, orbits, 10**7, ceiling, g.vertices)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_degree_greedy", lambda adj: [])
-            cold = _max_clique(g.adjacency, orbits, 10**7, ceiling)
+            cold = _max_clique(g.adjacency, orbits, 10**7, ceiling, g.vertices)
         assert warm[:2] == cold[:2]
         assert warm[2] <= cold[2]
 
@@ -242,12 +273,77 @@ def test_refutation_keeps_size_and_witness(L, w):
     g = build_graph(L, w)
     ceiling = _ceiling(L, w)
     for orbits in (g.unit_orbits(), [[i] for i in range(len(g.adjacency))]):
-        pruned = _max_clique(g.adjacency, orbits, 10**7, ceiling)
+        pruned = _max_clique(g.adjacency, orbits, 10**7, ceiling, g.vertices)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_refuted", lambda S, classes, rows: False)
-            full = _max_clique(g.adjacency, orbits, 10**7, ceiling)
+            full = _max_clique(g.adjacency, orbits, 10**7, ceiling, g.vertices)
         assert pruned[:2] == full[:2]
         assert pruned[2] <= full[2]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 110), st.integers(2, 6))
+@example(22, 3)  # column 11 holds one residue; weighing it 2 gives a maximum of 4, not 5
+@example(34, 4)  # the dead count cuts (orbited)
+@example(97, 3)  # propagation over the columns cuts: 23 nodes, 28 without (orbited)
+@example(121, 5)  # no residue check runs (orbited)
+@example(229, 3)  # 56 nodes with the cut, 457 without (orbited)
+def test_residue_cut_keeps_size_and_witness(L, w):
+    if L < w:
+        return
+    g = build_graph(L, w)
+    ceiling = _ceiling(L, w)
+    for orbits in (g.unit_orbits(), [[i] for i in range(len(g.adjacency))]):
+        cut = _max_clique(g.adjacency, orbits, 10**7, ceiling, g.vertices)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_residue_cut", lambda *args: False)
+            full = _max_clique(g.adjacency, orbits, 10**7, ceiling, g.vertices)
+        assert cut[:2] == full[:2]
+        assert cut[2] <= full[2]
+
+
+@pytest.mark.parametrize("w", [3, 4])
+def test_max_general_cac_keeps_its_answer_under_the_residue_cut(w, monkeypatch):
+    cut = [max_general_cac(L, w) for L in range(w, 21)]
+    monkeypatch.setattr(oracle, "_residue_cut", lambda *args: False)
+    assert cut == [max_general_cac(L, w) for L in range(w, 21)]
+
+
+def _cut(L, spare, sub, cover, holders, rows, classes=()):
+    # _residue_cut with the path's columns, each candidate's residues and the
+    # open residues read off the column masks
+    def residues(columns):
+        return sum(1 << x | 1 << L - x for x in range(1, L // 2 + 1) if columns >> x & 1)
+
+    masks = [residues(sum(1 << x for x, h in enumerate(holders) if h >> k & 1))
+             for k in range(len(rows))]
+    open_ = (1 << L) - 2 ^ residues(cover)
+    return _residue_cut(L, spare, sub, open_, masks, holders, rows, list(classes))
+
+
+def test_residue_cut_counts_each_column():
+    # Z_8 minus 0: columns {1, 7}, {2, 6}, {3, 5} and {4}; candidate 0 holds
+    # column 1, candidate 1 columns 2 and 4. cover and holders are column masks.
+    holders, rows = [0, 0b01, 0b10, 0, 0b10], [0b10, 0b01]
+    assert _cut(8, -1, 0b11, 0, holders, rows)
+    # columns 1 and 2 covered: open column 3 is dead (two residues)
+    assert not _cut(8, 2, 0b11, 0b00110, holders, rows)
+    assert _cut(8, 1, 0b11, 0b00110, holders, rows)
+    # without candidate 1, column 4 is dead too
+    assert _cut(8, 2, 0b01, 0b00110, holders, rows)
+    # column 4 alone is dead: one residue, not two
+    assert not _cut(8, 1, 0b01, 0b01110, holders, rows)
+    # at odd L the last column holds two residues: Z_7 minus 0, columns 1..3
+    assert _cut(7, 1, 0b01, 0b0110, holders[:4], rows)
+    # at spare 0 every open column needs a holder among the candidates
+    assert _cut(8, 0, 0b11, 0b10110, holders, rows)
+    # columns 3 and 4 force candidates 0 and 1, which must then be adjacent
+    both = [0, 0b01, 0b10, 0b01, 0b10]
+    assert not _cut(8, 0, 0b11, 0b00110, both, rows)
+    assert _cut(8, 0, 0b11, 0b00110, both, [0, 0])
+    # and the colour classes given join the propagation
+    assert not _cut(8, 0, 0b111, 0b00110, both, [0b110, 0b001, 0b001])
+    assert _cut(8, 0, 0b111, 0b00110, both, [0b110, 0b001, 0b001], [0b100])
 
 
 def _meets_every_class(S, classes, adj):
@@ -329,6 +425,36 @@ def test_degree_greedy_takes_the_most_connected_vertex():
     assert _degree_greedy(adj) == [2, 3, 4]
 
 
+def test_build_graph_matches_the_full_scan():
+    for L in range(2, 151):
+        for w in range(2, min(L, 7) + 1):
+            assert build_graph(L, w) == oracle_reference.build_graph(L, w), (L, w)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(BENCH_SEARCH), st.data())
+def test_by_degree_and_degree_greedy_match_the_reference(Lw, data):
+    # random candidate sets over the benchmark's graphs; the greedy runs on
+    # the subgraph that _by_degree relabels
+    adj = build_graph(*Lw).adjacency
+    keep = data.draw(st.sampled_from([1, 2, 4, 8, 16]))  # about 1 in keep vertices
+    P = data.draw(st.integers(1, (1 << len(adj)) - 1))
+    for _ in range(keep.bit_length() - 1):
+        P &= data.draw(st.integers(0, (1 << len(adj)) - 1))
+    P = P or 1 << data.draw(st.integers(0, len(adj) - 1))
+    verts, rows = _by_degree(adj, P)
+    assert (verts, rows) == oracle_reference.by_degree(adj, P)
+    one = P & -P  # a single candidate: one index for the row's gather
+    assert _by_degree(adj, one) == oracle_reference.by_degree(adj, one)
+    assert _degree_greedy(rows) == oracle_reference.degree_greedy(rows)
+
+
+def test_degree_greedy_matches_the_reference_on_the_bench_graphs():
+    for L, w in BENCH_SEARCH:
+        adj = build_graph(L, w).adjacency
+        assert _degree_greedy(adj) == oracle_reference.degree_greedy(adj), (L, w)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.frozensets(st.integers(0, 15), max_size=5), max_size=24))
 @example([frozenset(), frozenset({1}), frozenset(), frozenset({1, 2})])
@@ -397,7 +523,7 @@ from cacforge.errors import NotACac
 assert False, "assertions must be off"
 g = o.build_graph(13, 3)
 j = next(j for j in range(1, len(g.vertices)) if not g.adjacency[0] >> j & 1)
-o._max_clique = lambda adj, orbits, budget, ceiling: (2, [0, j], 1)
+o._max_clique = lambda adj, orbits, budget, ceiling, sets: (2, [0, j], 1)
 try:
     o.max_equi_diff_cac(13, 3)
 except NotACac as e:

@@ -28,13 +28,11 @@ from .codes import (
     DifferenceSet,
     EquiDiffCodeword,
     VerificationReport,
-    canonicalize,
     code_from_json,
     code_to_json,
     difference_set,
     is_exceptional,
     is_tight,
-    subgroup_of_exceptional,
     support,
     support_difference_set,
     verify_cac,
@@ -62,7 +60,6 @@ from .errors import (
     LengthsNotCoprimePrimes,
     NotACac,
     NotAUnit,
-    NotExceptional,
     NotPrime,
     NotPrimitive,
     ParamMismatch,
@@ -87,7 +84,6 @@ from .oracle import (
     build_graph,
     certify,
     max_equi_diff_cac,
-    max_general_cac,
 )
 
 __version__ = "0.1.0"

@@ -37,12 +37,6 @@ class ProtocolSequence:
     mask: int
     weight: int
 
-    def __str__(self) -> str:
-        return "".join("1" if self.mask >> t & 1 else "0" for t in range(self.length))
-
-    def as_bits(self) -> tuple[int, ...]:
-        return tuple(self.mask >> t & 1 for t in range(self.length))
-
 
 def _check_mask_bits(L: int) -> None:
     if L > MASK_BITS_BUDGET:

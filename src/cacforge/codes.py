@@ -18,7 +18,6 @@ from .errors import (
     DegenerateCodeword,
     HeterogeneousCode,
     NotACac,
-    NotExceptional,
     ParseError,
     json_flag,
     json_int,
@@ -81,7 +80,7 @@ def difference_set(cw: EquiDiffCodeword) -> DifferenceSet:
 
 
 def support_difference_set(L: int, elements) -> DifferenceSet:
-    """d* of an arbitrary support set (oracle cross-checks only)."""
+    """d* of an arbitrary support set, not only an arithmetic progression."""
     elems = set()
     for a in elements:
         for b in elements:
@@ -91,20 +90,8 @@ def support_difference_set(L: int, elements) -> DifferenceSet:
 
 
 def is_exceptional(cw: EquiDiffCodeword) -> bool:
+    """True iff L/gcd(L, g) <= 2w - 2; d(cw) is then <gcd(L, g)> minus 0."""
     return cw.length // gcd(cw.length, cw.generator) <= 2 * cw.weight - 2
-
-
-def subgroup_of_exceptional(cw: EquiDiffCodeword) -> frozenset[int]:
-    """The additive subgroup <gcd(L,g)>, which equals d(cw) for exceptional cw."""
-    if not is_exceptional(cw):
-        raise NotExceptional(f"codeword g={cw.generator} has a full difference set")
-    d = gcd(cw.length, cw.generator)
-    return frozenset(range(0, cw.length, d))
-
-
-def canonicalize(cw: EquiDiffCodeword) -> EquiDiffCodeword:
-    g = min(cw.generator, cw.length - cw.generator)
-    return EquiDiffCodeword(cw.length, cw.weight, g)
 
 
 @dataclass(frozen=True)
@@ -131,7 +118,7 @@ class Code:
         return tuple(cw.generator for cw in self.codewords)
 
     def canonical_generators(self) -> list[int]:
-        """Sorted distinct min(g, L - g), the generator canonicalize would pick."""
+        """Sorted distinct min(g, L - g): g and L - g share a difference set."""
         L = self.length
         return sorted({min(g, L - g) for g in self.generators})
 

@@ -28,10 +28,6 @@ class DegenerateCodeword(CacError):
     pass
 
 
-class NotExceptional(CacError):
-    pass
-
-
 class HeterogeneousCode(CacError):
     pass
 

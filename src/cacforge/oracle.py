@@ -75,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import combinations, compress, count
+from itertools import compress, count
 from math import gcd
 from operator import itemgetter, or_
 
@@ -84,7 +84,6 @@ from .codes import (
     Code,
     EquiDiffCodeword,
     difference_set,
-    support_difference_set,
     verify_cac,
 )
 from .errors import BudgetExceeded, NotACac
@@ -93,7 +92,6 @@ DEFAULT_NODE_BUDGET = 5_000_000
 # desk-scale length caps per weight; override via the cap argument
 _LENGTH_CAPS = {3: 200}
 _DEFAULT_CAP = 120
-_SUPPORT_CAP = 40
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -454,45 +452,3 @@ def certify(
     res = max_equi_diff_cac(cert.code.length, cert.code.weight, budget, cap)
     flags = replace(cert.flags, optimal_by_oracle=len(cert.code) == res.size)
     return replace(cert, flags=flags, oracle_max=res.size)
-
-
-def max_general_cac(
-    L: int,
-    w: int,
-    budget: int = DEFAULT_NODE_BUDGET,
-    cap: int = _SUPPORT_CAP,
-) -> tuple[int, list[frozenset[int]]]:
-    """Maximum CAC over arbitrary w-subsets of Z_L (not just equi-difference).
-
-    Difference sets are translation invariant, so supports are normalized
-    to contain 0. Tiny L only; this exists to cross-check that the
-    equi-difference maximum never exceeds the unrestricted one. On a
-    node-budget stop the error's best holds the incumbent's supports.
-    A negative budget or cap raises ValueError.
-    """
-    if L < w or w < 2:
-        raise ValueError(f"need L >= w >= 2, got ({L},{w})")
-    if budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {budget}")
-    if cap < 0:
-        raise ValueError(f"length cap must be >= 0, got {cap}")
-    if L > cap:
-        raise BudgetExceeded(f"L = {L} above support-set cap {cap}")
-    seen: dict[frozenset[int], frozenset[int]] = {}
-    for rest in combinations(range(1, L), w - 1):
-        sup = frozenset((0,) + rest)
-        ds = support_difference_set(L, sup).elements
-        if ds not in seen:
-            seen[ds] = sup
-    items = sorted(seen.items(), key=lambda t: (-len(t[0]), sorted(t[1])))
-    sets = [ds for ds, _ in items]
-    adj = _disjointness_rows(sets)
-    ceiling = _volume_ceiling(map(len, sets), L)
-    try:
-        size, members, _ = _max_clique(
-            adj, [[i] for i in range(len(adj))], budget, ceiling, sets
-        )
-    except BudgetExceeded as e:
-        e.best = [items[i][1] for i in e.best]
-        raise
-    return size, [items[i][1] for i in members]

@@ -3,18 +3,23 @@ reference the faster ones in `cacforge.oracle` are checked against.
 
 `build_graph` scans every generator 1..L-1, `by_degree` relabels each row
 one bit at a time, and `degree_greedy` tests every vertex index for
-membership at each step.
+membership at each step. `max_general_cac` runs the oracle's clique
+search over arbitrary w-subsets, not only arithmetic progressions.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 
-from cacforge.codes import EquiDiffCodeword, difference_set
-from cacforge.oracle import DisjointnessGraph, _disjointness_rows
+from cacforge import oracle
+from cacforge.codes import EquiDiffCodeword, difference_set, support_difference_set
+from cacforge.errors import BudgetExceeded
+
+_SUPPORT_CAP = 40
 
 
-def build_graph(L: int, w: int) -> DisjointnessGraph:
+def build_graph(L: int, w: int) -> oracle.DisjointnessGraph:
     seen: dict[frozenset[int], int] = {}
     for g in range(1, L):
         if L // gcd(L, g) < w:
@@ -25,7 +30,8 @@ def build_graph(L: int, w: int) -> DisjointnessGraph:
     items = sorted(seen.items(), key=lambda t: (-len(t[0]), t[1]))
     vertices = tuple(ds for ds, _ in items)
     generators = tuple(g for _, g in items)
-    return DisjointnessGraph(L, w, vertices, generators, _disjointness_rows(vertices))
+    rows = oracle._disjointness_rows(vertices)
+    return oracle.DisjointnessGraph(L, w, vertices, generators, rows)
 
 
 def by_degree(adj, P: int) -> tuple[list[int], list[int]]:
@@ -48,3 +54,46 @@ def degree_greedy(adj) -> list[int]:
         clique.append(v)
         P &= adj[v]
     return clique
+
+
+def max_general_cac(
+    L: int,
+    w: int,
+    budget: int = oracle.DEFAULT_NODE_BUDGET,
+    cap: int = _SUPPORT_CAP,
+) -> tuple[int, list[frozenset[int]]]:
+    """Maximum CAC over arbitrary w-subsets of Z_L (not just equi-difference).
+
+    Difference sets are translation invariant, so supports are normalized
+    to contain 0. Tiny L only; this exists to cross-check that the
+    equi-difference maximum never exceeds the unrestricted one. On a
+    node-budget stop the error's best holds the incumbent's supports.
+    A negative budget or cap raises ValueError. The oracle's helpers are
+    looked up on the module, so a test that patches one reaches them here.
+    """
+    if L < w or w < 2:
+        raise ValueError(f"need L >= w >= 2, got ({L},{w})")
+    if budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
+    if cap < 0:
+        raise ValueError(f"length cap must be >= 0, got {cap}")
+    if L > cap:
+        raise BudgetExceeded(f"L = {L} above support-set cap {cap}")
+    seen: dict[frozenset[int], frozenset[int]] = {}
+    for rest in combinations(range(1, L), w - 1):
+        sup = frozenset((0,) + rest)
+        ds = support_difference_set(L, sup).elements
+        if ds not in seen:
+            seen[ds] = sup
+    items = sorted(seen.items(), key=lambda t: (-len(t[0]), sorted(t[1])))
+    sets = [ds for ds, _ in items]
+    adj = oracle._disjointness_rows(sets)
+    ceiling = oracle._volume_ceiling(map(len, sets), L)
+    try:
+        size, members, _ = oracle._max_clique(
+            adj, [[i] for i in range(len(adj))], budget, ceiling, sets
+        )
+    except BudgetExceeded as e:
+        e.best = [items[i][1] for i in e.best]
+        raise
+    return size, [items[i][1] for i in members]

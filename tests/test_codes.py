@@ -16,13 +16,11 @@ from cacforge.codes import (
     Code,
     DifferenceSet,
     EquiDiffCodeword,
-    canonicalize,
     code_from_json,
     code_to_json,
     difference_set,
     is_exceptional,
     is_tight,
-    subgroup_of_exceptional,
     support,
     support_difference_set,
     verify_cac,
@@ -32,7 +30,6 @@ from cacforge.errors import (
     DegenerateCodeword,
     HeterogeneousCode,
     NotACac,
-    NotExceptional,
     ParseError,
 )
 
@@ -139,21 +136,20 @@ def test_difference_set_runs_no_check_but_the_public_constructor_does(monkeypatc
 
 
 def test_exceptional():
-    cw = EquiDiffCodeword(9, 3, 3)
-    assert is_exceptional(cw)
-    assert subgroup_of_exceptional(cw) == frozenset({0, 3, 6})
-    reg = EquiDiffCodeword(9, 3, 1)
-    assert not is_exceptional(reg)
-    with pytest.raises(NotExceptional):
-        subgroup_of_exceptional(reg)
+    # an exceptional codeword's differences, with 0, are the subgroup <gcd(L, g)>
+    for L, w, g in [(9, 3, 3), (12, 4, 2), (30, 4, 6), (671, 11, 61), (20, 6, 2)]:
+        cw = EquiDiffCodeword(L, w, g)
+        assert is_exceptional(cw)
+        assert difference_set(cw).elements | {0} == frozenset(range(0, L, math.gcd(L, g)))
+    assert not is_exceptional(EquiDiffCodeword(9, 3, 1))
 
 
 def test_canonicalize():
-    assert canonicalize(EquiDiffCodeword(9, 3, 8)).generator == 1
-    assert canonicalize(EquiDiffCodeword(9, 3, 4)).generator == 4
-    cw = EquiDiffCodeword(15, 3, 11)
-    assert canonicalize(cw).generator == 4
-    assert difference_set(canonicalize(cw)) == difference_set(cw)
+    # the canonical generator of g is min(g, L - g)
+    assert Code.from_generators(9, 3, [8, 4]).canonical_generators() == [1, 4]
+    code = Code.from_generators(15, 3, [11])
+    assert code.canonical_generators() == [4]
+    assert difference_set(EquiDiffCodeword(15, 3, 4)) == difference_set(code.codewords[0])
 
 
 def test_codeword_random_properties(rng):
@@ -168,10 +164,11 @@ def test_codeword_random_properties(rng):
         assert len(d) == min(L // math.gcd(L, g), 2 * w - 1) - 1
         assert all((L - x) % L in d for x in d)
         assert 0 not in d
-        canon = canonicalize(cw)
-        assert canon.generator <= L - canon.generator
-        assert difference_set(canon).elements == d
-        assert canonicalize(canon) == canon
+        canon = Code(L, w, (cw,)).canonical_generators()
+        assert canon == [min(g, L - g)]
+        assert difference_set(EquiDiffCodeword(L, w, canon[0])).elements == d
+        if is_exceptional(cw):
+            assert d | {0} == frozenset(range(0, L, math.gcd(L, g)))
 
 
 def test_support_difference_set():

@@ -1,5 +1,6 @@
 import ast
 import pickle
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -221,6 +222,37 @@ def test_no_unused_import_in_the_package():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert unused == []
+
+
+def test_every_export_has_a_use_outside_the_unit_tests():
+    # a public name only unit tests call belongs in a tests-only reference module
+    package = Path(cacforge.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(exported) > 50
+    used = set()
+    for path in set(package.glob("*.py")) - {package / "__init__.py"}:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                used.update(alias.name for alias in node.names)
+    root = package.parents[1]
+    drivers = sorted((root / "bench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    assert len(drivers) >= 6
+    for path in drivers:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cf":
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cacforge"):
+                used.update(alias.name for alias in node.names)
+    readme = (root / "README.md").read_text()
+    library = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    used.update(re.findall(r"\bcf\.(\w+)", library))
+    assert sorted(exported - used) == []
 
 
 def _counting(counts, name, fn):

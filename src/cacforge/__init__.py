@@ -5,6 +5,7 @@ from .bounds import (
     BoundReport,
     coprime_excess_exact,
     corollary1_bound,
+    exact_refund_floor,
     new_bound,
     omega,
     omega_star,

@@ -6,8 +6,9 @@ additive subgroups of some order p dividing L with w <= p < 2w-1. Two
 exceptional codewords can coexist only when their orders are coprime
 (otherwise the subgroups intersect beyond zero), which caps the total
 refund by a maximum over pairwise-coprime divisor subsets; omega_star is
-a closed filter rule for that maximum and coprime_excess_exact the
-brute-force audit of it.
+the paper's closed filter rule for that maximum and coprime_excess_exact
+the maximum itself. exact_refund_floor, built on the latter, is the one
+bound the package acts on; new_bound keeps the paper's report.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, gcd, isqrt
+from math import ceil, gcd, isqrt, prod
 
 from .errors import InconsistentClaim, ParseError, UnsupportedWeight, json_int, json_ints
 from .numtheory import factorize, is_prime
@@ -146,16 +147,23 @@ def prime_divisor_bound(L: int, w: int) -> tuple[Fraction, int]:
 
 
 def _best_coprime_subset(pool, gain) -> tuple[int, tuple[int, ...]]:
-    """Max (at least 0) of sum(gain(x)) over pairwise-coprime subsets of pool,
-    with the first subset reaching it by size, then combinations order."""
-    best, best_set = 0, ()
-    for r in range(1, len(pool) + 1):
-        for sub in combinations(pool, r):
-            if all(gcd(a, b) == 1 for a, b in combinations(sub, 2)):
-                val = sum(map(gain, sub))
-                if val > best:
-                    best, best_set = val, sub
-    return best, best_set
+    """Max (at least 0) of sum(gain(x)) over pairwise-coprime subsets of the
+    ascending pool, with the first subset reaching it by size, then
+    combinations order.
+
+    One pass keeps, per set of primes used (keyed by their product), the
+    least (-refund, size, subset). Subsets with the same primes extend
+    alike and every later member exceeds them all, so the least stays least.
+    """
+    states = {1: (0, 0, ())}
+    for x in pool:
+        rad = prod(factorize(x).primes)
+        for key, (neg, size, sub) in list(states.items()):
+            if gcd(key, x) == 1:
+                new = (neg - gain(x), size + 1, sub + (x,))
+                states[key * rad] = min(new, states.get(key * rad, new))
+    neg, _, best_set = min(states.values())
+    return -neg, best_set
 
 
 def _subset_pool(L: int, w: int) -> list[int]:
@@ -166,9 +174,8 @@ def _subset_pool(L: int, w: int) -> list[int]:
 def subset_excess_bound(L: int, w: int) -> tuple[Fraction, int, tuple[int, ...]]:
     """floor((L-1+F)/(2w-2)) where F maximizes the subgroup refund term.
 
-    F is taken over pairwise-coprime subsets of the candidate pool; the
-    pool has fewer than 2w-2 members so enumeration is exact. Returns the
-    raw rational, its floor and a maximizing subset.
+    F is the exact maximum over pairwise-coprime subsets of the candidate
+    pool. Returns the raw rational, its floor and a maximizing subset.
     """
     if L < w or w < 2:
         raise ValueError("need L >= w >= 2")
@@ -182,9 +189,16 @@ def subset_excess_bound(L: int, w: int) -> tuple[Fraction, int, tuple[int, ...]]
 def coprime_excess_exact(L: int, w: int) -> int:
     """Max of sum(2w-1-p) over pairwise-coprime subsets of omega(L,w).
 
-    Independent audit of the omega_star filter; the two can disagree (the
-    filter may drop a member over a conflict with an element that is
-    itself dropped), so callers comparing them must treat this one as the
-    ground truth refund.
+    The exact refund: exceptional codewords have pairwise-coprime orders
+    in omega, and this is the most they can save. The omega_star filter
+    may fall short of it (it can drop a member over a conflict with an
+    element that is itself dropped), never above.
     """
     return _best_coprime_subset(omega(L, w), lambda p: 2 * w - 1 - p)[0]
+
+
+def exact_refund_floor(L: int, w: int) -> int:
+    """floor((L - 1 + coprime_excess_exact(L, w)) / (2w - 2)), the sound bound
+    on M^e(L, w) behind every optimality gate and the oracle's stop; at
+    least new_bound's floor, above it at (504, 9): 32 against 31."""
+    return (L - 1 + coprime_excess_exact(L, w)) // (2 * w - 2)

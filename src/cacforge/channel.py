@@ -206,9 +206,7 @@ def simulate(sc: Scenario) -> SimReport:
     return SimReport(per_user, tuple(violations), sc.trials, sc.seed)
 
 
-def verify_irrepressibility_exhaustive(
-    code: Code, k: int, budget: int = EXHAUSTIVE_BUDGET
-) -> bool:
+def verify_irrepressibility_exhaustive(code: Code, k: int) -> bool:
     """True iff every k-subset of users with every delay tuple leaves
     every active user at least one success slot per period.
 
@@ -219,10 +217,10 @@ def verify_irrepressibility_exhaustive(
     DP over the other users keeps each covered subset of i's slots (a
     w-bit mask) with the fewest users that cover it, up to k-1. Adding a
     user never uncovers a slot, so the code fails iff some user's full
-    mask is reached. The n (n-1) 2^w DP states are checked against budget
-    before any work; anything above it raises BudgetExceeded. No CAC
-    precondition: the point is to observe guarantee failures on corrupted
-    codes too.
+    mask is reached. The n (n-1) 2^w DP states are checked against
+    EXHAUSTIVE_BUDGET, read at call time, before any work; anything above
+    it raises BudgetExceeded. No CAC precondition: the point is to observe
+    guarantee failures on corrupted codes too.
     """
     if not 1 <= k <= code.weight:
         raise ValueError(f"k must be in 1..w = {code.weight}, got {k}")
@@ -230,8 +228,8 @@ def verify_irrepressibility_exhaustive(
     if k == 1 or n < k:
         return True
     states = n * (n - 1) * 2 ** code.weight
-    if states > budget:
-        raise BudgetExceeded(f"{states} DP states exceed budget {budget}")
+    if states > EXHAUSTIVE_BUDGET:
+        raise BudgetExceeded(f"{states} DP states exceed budget {EXHAUSTIVE_BUDGET}")
     slots = [sorted(support(cw)) for cw in code.codewords]
     for i, mine in enumerate(slots):
         full = (1 << len(mine)) - 1

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .bounds import (
     corollary1_bound,
+    exact_refund_floor,
     new_bound,
     prime_divisor_bound,
     subset_excess_bound,
@@ -148,20 +149,20 @@ def cmd_verify(args) -> int:
     code = code_from_json(obj)
     report = verify_cac(code)
     tight = report.ok and report.covered == code.length - 1
-    br = new_bound(code.length, code.weight)
+    floor = exact_refund_floor(code.length, code.weight)
     if args.json:
         out = report.to_json()
         out.update(
             tight=tight,
             size=len(code),
-            bound_floor=br.floor_value,
-            optimal_by_bound=report.ok and len(code) == br.floor_value,
+            bound_floor=floor,
+            optimal_by_bound=report.ok and len(code) == floor,
         )
         print(json.dumps(out, sort_keys=True))
     elif report.ok:
         print(
             f"ok: ({code.length},{code.weight}) CAC, {len(code)} codewords, "
-            f"tight={tight}, bound floor {br.floor_value}"
+            f"tight={tight}, bound floor {floor}"
         )
     else:
         print(
@@ -293,7 +294,7 @@ def _write_catalog(path: str, entries: dict) -> None:
 def _integrity_error(entries: dict) -> str | None:
     """The first entry whose size beats the bound or whose generators do not certify it."""
     for (L, w), entry in sorted(entries.items()):
-        floor = new_bound(L, w).floor_value
+        floor = exact_refund_floor(L, w)
         if entry["best_size"] > floor:
             return (f"integrity error: ({L},{w}) best_size {entry['best_size']} "
                     f"exceeds bound floor {floor}")

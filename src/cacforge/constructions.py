@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .bounds import new_bound
+from .bounds import exact_refund_floor, new_bound
 from .codes import Certificate, CertFlags, Code, is_tight, verify_cac
 from .errors import (
     BudgetExceeded,
@@ -121,13 +121,13 @@ def _certificate(code: Code, params: dict) -> Certificate:
             f"codewords {report.pair}",
             report,
         )
-    br = new_bound(code.length, code.weight)
     flags = CertFlags(
         verified_cac=True,
         tight=is_tight(code),
-        optimal_by_bound=len(code) == br.floor_value,
+        optimal_by_bound=len(code) == exact_refund_floor(code.length, code.weight),
     )
-    return Certificate(code, br, flags, params)
+    # the certificate reports the paper's bound; the flag rests on the exact refund
+    return Certificate(code, new_bound(code.length, code.weight), flags, params)
 
 
 def _optimal_tight(cert: Certificate) -> Certificate:
@@ -273,10 +273,10 @@ def construct_theorem2(cert1: Certificate, cert2: Certificate,
     for code, p in ((code1, p1), (code2, p2)):
         if verify_cac(code).covered != p - 1:
             raise InputNotTight(f"input of length {p} is not a tight CAC")
-        if len(code) != (p - 1) // (2 * w - 2) or len(code) != new_bound(p, w).floor_value:
+        floor = exact_refund_floor(p, w)
+        if len(code) != (p - 1) // (2 * w - 2) or len(code) != floor:
             raise InputNotOptimal(
-                f"input of length {p} has {len(code)} codewords, "
-                f"optimal is {new_bound(p, w).floor_value}"
+                f"input of length {p} has {len(code)} codewords, optimal is {floor}"
             )
     _check_size(p2 * len(code1) + len(code2), cap)
     L = p1 * p2

@@ -52,18 +52,19 @@ proves the maximum of 32 in 2,279 nodes (3,963 without the refutation,
 36,078 cold, 107,709 without orbits or the order); (504, 9) takes
 700,949 nodes, 2,109,728 without it.
 
-The search stops as soon as the incumbent reaches a volume ceiling. A
-clique is a family of disjoint subsets of Z_L minus 0, so it has no more
-members than the smallest difference sets that fit into L - 1 elements
-together. At prime L that is the floor (L - 1)/(2w - 2) which theorem 1
-meets. Where the maximum lies below the ceiling, as at (671, 11)
-(ceiling 34) and (504, 9) (ceiling 32), the tree is searched to its end.
+The search stops as soon as the incumbent reaches the exact-refund floor
+of `bounds.exact_refund_floor`. A clique is a family of disjoint subsets
+of Z_L minus 0, each of 2w - 2 elements save the exceptional ones, whose
+pairwise-coprime orders refund at most the exact coprime excess. At
+prime L >= 2w - 1 that is the floor (L - 1)/(2w - 2) which theorem 1
+meets. Where the maximum lies below the floor, as at (671, 11) (floor
+34) and (504, 9) (floor 32), the tree is searched to its end.
 
-The same count cuts single branches, as exact-cover solvers do (Knuth,
-"Dancing Links", 2000); `_residue_cut` gives the argument. The residues
-a clique leaves open must hold the sets it still needs; when they hold
-them exactly, every open column {x, L - x} needs a holder, and unit
-propagation runs over the column holders. These cuts too skip only
+Counting residues also cuts single branches, as exact-cover solvers do
+(Knuth, "Dancing Links", 2000); `_residue_cut` gives the argument. The
+residues a clique leaves open must hold the sets it still needs; when
+they hold them exactly, every open column {x, L - x} needs a holder, and
+unit propagation runs over the column holders. These cuts too skip only
 subtrees without a clique above bar, so the witness is the same. The
 tight w = 3 primes become backtrack-free: (229, 3) takes 56 nodes (457
 without the residue cut, 1,113 also without the refutation, 1,490 cold,
@@ -79,6 +80,7 @@ from itertools import compress, count
 from math import gcd
 from operator import itemgetter, or_
 
+from .bounds import exact_refund_floor
 from .codes import (
     Certificate,
     Code,
@@ -224,23 +226,6 @@ def _bits(P: int) -> bytes:
 def _members(P: int) -> list[int]:
     """The set bits of P, lowest first."""
     return list(compress(count(), _bits(P)))
-
-
-def _volume_ceiling(sizes, L: int) -> int:
-    """Largest k such that the k smallest sets hold at most L - 1 elements.
-
-    A clique is a family of disjoint difference sets inside Z_L minus 0,
-    so no clique is larger. At prime L >= 2w - 1 every set has 2w - 2
-    elements and this is the floor (L - 1)/(2w - 2).
-    """
-    room = L - 1
-    k = 0
-    for size in sorted(sizes):
-        room -= size
-        if room < 0:
-            break
-        k += 1
-    return k
 
 
 def _degree_greedy(adj) -> list[int]:
@@ -427,10 +412,9 @@ def max_equi_diff_cac(
     if L > cap:
         raise BudgetExceeded(f"L = {L} above cap {cap} for w = {w}; pass cap to override")
     graph = build_graph(L, w)
-    ceiling = _volume_ceiling(map(len, graph.vertices), L)
     try:
         size, members, nodes = _max_clique(
-            graph.adjacency, graph.unit_orbits(), budget, ceiling, graph.vertices
+            graph.adjacency, graph.unit_orbits(), budget, exact_refund_floor(L, w), graph.vertices
         )
     except BudgetExceeded as e:
         if e.best is not None:

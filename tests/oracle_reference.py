@@ -4,7 +4,8 @@ reference the faster ones in `cacforge.oracle` are checked against.
 `build_graph` scans every generator 1..L-1, `by_degree` relabels each row
 one bit at a time, and `degree_greedy` tests every vertex index for
 membership at each step. `max_general_cac` runs the oracle's clique
-search over arbitrary w-subsets, not only arithmetic progressions.
+search over arbitrary w-subsets, not only arithmetic progressions, and
+stops it at `volume_ceiling`, a count that needs only the sets' sizes.
 """
 
 from __future__ import annotations
@@ -56,6 +57,23 @@ def degree_greedy(adj) -> list[int]:
     return clique
 
 
+def volume_ceiling(sizes, L: int) -> int:
+    """Largest k such that the k smallest sets hold at most L - 1 elements.
+
+    A clique is a family of disjoint difference sets inside Z_L minus 0,
+    so no clique is larger. At prime L >= 2w - 1 every set has 2w - 2
+    elements and this is the floor (L - 1)/(2w - 2).
+    """
+    room = L - 1
+    k = 0
+    for size in sorted(sizes):
+        room -= size
+        if room < 0:
+            break
+        k += 1
+    return k
+
+
 def max_general_cac(
     L: int,
     w: int,
@@ -88,7 +106,7 @@ def max_general_cac(
     items = sorted(seen.items(), key=lambda t: (-len(t[0]), sorted(t[1])))
     sets = [ds for ds, _ in items]
     adj = oracle._disjointness_rows(sets)
-    ceiling = oracle._volume_ceiling(map(len, sets), L)
+    ceiling = volume_ceiling(map(len, sets), L)
     try:
         size, members, _ = oracle._max_clique(
             adj, [[i] for i in range(len(adj))], budget, ceiling, sets

@@ -2,14 +2,17 @@ import json
 import math
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cacforge.bounds import (
     BoundReport,
+    _best_coprime_subset,
     _subset_pool,
     coprime_excess_exact,
     corollary1_bound,
+    exact_refund_floor,
     new_bound,
     omega,
     omega_star,
@@ -141,14 +144,48 @@ def test_coprime_excess_exact():
 
 
 def test_bound_orderings(rng):
-    # filtered excess never exceeds the exact coprime maximum, and the bound
-    # built from it never exceeds the two older bounds
+    # filtered excess never exceeds the exact coprime maximum (nor its floor
+    # the exact-refund floor), and the bound built from it never exceeds the
+    # two older bounds
     for _ in range(300):
         L = rng.randint(6, 4000)
         w = rng.randint(3, 8)
         r = new_bound(L, w)
         assert r.excess <= coprime_excess_exact(L, w)
+        assert r.floor_value <= exact_refund_floor(L, w)
         assert r.as_fraction <= prime_divisor_bound(L, w)[0]
         assert r.as_fraction <= subset_excess_bound(L, w)[0]
         if w <= 6:
             assert r.floor_value <= corollary1_bound(L, w)
+
+
+def _best_coprime_subset_by_brute_force(pool, gain):
+    # every subset by size, then in combinations order; the first to beat
+    # the best so far wins
+    best, best_set = 0, ()
+    for r in range(1, len(pool) + 1):
+        for sub in combinations(pool, r):
+            if all(math.gcd(a, b) == 1 for a, b in combinations(sub, 2)):
+                val = sum(map(gain, sub))
+                if val > best:
+                    best, best_set = val, sub
+    return best, best_set
+
+
+def test_best_coprime_subset_matches_the_brute_force():
+    # both pools, the maximizing subset included
+    for w in range(2, 12):
+        gains = (lambda p: 2 * w - 1 - p, lambda x: x - 1 - 2 * x * math.ceil(w / x) + 2 * w)
+        for L in range(2, 3001):
+            for pool, gain in zip((omega(L, w), _subset_pool(L, w)), gains):
+                want = _best_coprime_subset_by_brute_force(pool, gain)
+                assert _best_coprime_subset(pool, gain) == want, (L, w)
+
+
+def test_exact_refund_floor_above_the_paper_floor_at_504_9():
+    # omega (9, 12, 14): the filter keeps 9 alone (refund 8), while the
+    # coprime pair {9, 14} refunds 8 + 3
+    assert omega_star(504, 9) == (9,)
+    assert new_bound(504, 9).floor_value == 31
+    assert coprime_excess_exact(504, 9) == 11
+    assert exact_refund_floor(504, 9) == 32

@@ -73,6 +73,15 @@ def test_simulate_explicit():
     assert rep.violations == ()
 
 
+def test_simulate_explicit_violation_records_delays_mod_L():
+    # more than w users can blank one: user 1 at delay -7, that is 1, sends
+    # in slots 1 and 3, which users 0 (slots 0, 1) and 2 (slots 3, 6) take
+    code = Code.from_generators(8, 2, [1, 2, 3, 4])
+    rep = simulate(Scenario(code, active=((0, 0), (1, -7), (2, 3))))
+    assert rep.per_user == {0: 1, 1: 0, 2: 1}
+    assert rep.violations == ({"active": [[0, 0], [1, 1], [2, 3]]},)
+
+
 def test_simulate_single_user_all_clear():
     code = Code.from_generators(9, 3, [1, 3])
     rep = simulate(Scenario(code, active=((1, 5),)))
@@ -237,22 +246,25 @@ def test_irrepressibility_bad_k():
         verify_irrepressibility_exhaustive(code, 4)
 
 
-def test_irrepressibility_budget():
+def test_irrepressibility_budget(monkeypatch):
     code = construct_theorem2(
         construct_lemma1(5, 3), construct_lemma1(13, 3)
     ).code
     # 16 users, w = 3: 16 * 15 * 2^3 = 1,920 DP states
-    with pytest.raises(BudgetExceeded):
-        verify_irrepressibility_exhaustive(code, 3, budget=1000)
+    monkeypatch.setattr(channel, "EXHAUSTIVE_BUDGET", 1000)
+    with pytest.raises(BudgetExceeded, match="^1920 DP states exceed budget 1000$"):
+        verify_irrepressibility_exhaustive(code, 3)
     assert EXHAUSTIVE_BUDGET == 5_000_000
 
 
-def test_irrepressibility_small_budget_boundary():
+def test_irrepressibility_small_budget_boundary(monkeypatch):
     code = Code.from_generators(9, 3, [1, 3])
     # 2 users, w = 3: 2 * 1 * 2^3 = 16 DP states exactly
-    assert verify_irrepressibility_exhaustive(code, 2, budget=16)
+    monkeypatch.setattr(channel, "EXHAUSTIVE_BUDGET", 16)
+    assert verify_irrepressibility_exhaustive(code, 2)
+    monkeypatch.setattr(channel, "EXHAUSTIVE_BUDGET", 15)
     with pytest.raises(BudgetExceeded):
-        verify_irrepressibility_exhaustive(code, 2, budget=15)
+        verify_irrepressibility_exhaustive(code, 2)
 
 
 def test_irrepressibility_with_fewer_users_than_k():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cacforge.cli as cli
+from cacforge.channel import SimReport
 from cacforge.cli import _build_parser, main
 from cacforge.codes import (
     Certificate,
@@ -63,6 +64,31 @@ def test_bound_all_at_a_large_prime_and_weight(capsys):
         "  subset-excess:  floor 5  raw 50000003/9999999  set []\n"
         "  corollary1:     n/a (w outside 3..6)\n"
     )
+
+
+@pytest.mark.parametrize("L, w, out", [
+    ("720720", "30",
+     "bounds for (L=720720, w=30):\n"
+     "  new:            floor 12426  raw 720748/58  omega_star [30]\n"
+     "  prime-divisor:  floor 12429  raw 720893/58\n"
+     "  subset-excess:  floor 12427  raw 360390/29  set [16, 33, 35]\n"
+     "  corollary1:     n/a (w outside 3..6)\n"),
+    ("12252240", "40",
+     "bounds for (L=12252240, w=40):\n"
+     "  new:            floor 157080  raw 12252278/78  omega_star [40]\n"
+     "  prime-divisor:  floor 157083  raw 6126256/39\n"
+     "  subset-excess:  floor 157081  raw 6126160/39  set [7, 51, 52, 55]\n"
+     "  corollary1:     n/a (w outside 3..6)\n"),
+], ids=["720720-30", "12252240-40"])
+def test_bound_all_at_a_highly_composite_length(capsys, L, w, out):
+    # the refund maximizer passes once over the pool; a loop over all its
+    # subsets took 12 s at (720720, 30) on a shared 2-CPU machine, and the
+    # pool there has 23 members against 33 at (12252240, 40)
+    t0 = time.perf_counter()
+    rc, got, _ = run(capsys, "bound", L, w, "--all")
+    assert time.perf_counter() - t0 < 0.5
+    assert rc == 0
+    assert got == out
 
 
 def test_bound_json(capsys):
@@ -234,6 +260,16 @@ def test_verify_a_short_code_of_huge_length(tmp_path, capsys):
     assert out == "FAIL: codewords 0 and 2 share difference 100000000000000\n"
 
 
+def test_verify_reports_the_exact_refund_floor(tmp_path, capsys):
+    # at (504, 9) the paper's floor is 31 and the exact-refund floor 32
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"L": 504, "w": 9, "generators": []}')
+    rc, out, _ = run(capsys, "verify", str(empty), "--json")
+    assert rc == 0
+    obj = json.loads(out)
+    assert (obj["bound_floor"], obj["optimal_by_bound"]) == (32, False)
+
+
 def test_verify_file_errors(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
@@ -379,6 +415,21 @@ def test_simulate(tmp_path, capsys):
     assert obj["violations"] == []
 
 
+def test_simulate_text_lists_five_violations_then_a_count(tmp_path, capsys, monkeypatch):
+    # sampled runs on a CAC are all clean, so the report is made up
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps({"code": {"L": 9, "w": 3, "generators": [1, 3]}, "trials": 7}))
+    violations = tuple({"trial": t, "active": [[0, t]]} for t in range(7))
+    monkeypatch.setattr(cli, "simulate", lambda sc: SimReport({0: 0}, violations, 7, sc.seed))
+    rc, out, _ = run(capsys, "simulate", str(sc))
+    assert rc == 0
+    assert out == "".join(
+        ["runs 7, seed 0, violations 7\n"]
+        + [f"  violation: {{'trial': {t}, 'active': [[0, {t}]]}}\n" for t in range(5)]
+        + ["  ... and 2 more\n"]
+    )
+
+
 @pytest.mark.parametrize("make, seed, trials, digest", [
     # n = 153 users: sample's rejection-set branch
     (lambda: construct_theorem1(Theorem1Params(919, 4, 51, 3, 7)), 919, 3_000,
@@ -510,6 +561,34 @@ def test_catalog_flow(tmp_path, capsys, monkeypatch):
     assert "(13,3)" in out
 
 
+def test_catalog_show_empty_and_blank_lines(tmp_path, capsys):
+    cat = tmp_path / "cat.jsonl"
+    rc, out, _ = run(capsys, "catalog", "show", "--catalog", str(cat))
+    assert (rc, out) == (0, f"catalog {cat}: empty\n")
+    e13 = {"L": 13, "w": 3, "best_size": 3, "source": "x", "exact": True,
+           "generators": [1, 3, 4]}
+    e15 = dict(e13, L=15, best_size=4, generators=[1, 3, 4, 5])
+    cat.write_text("\n" + json.dumps(e13) + "\n\n   \n" + json.dumps(e15) + "\n\n")
+    rc, out, _ = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert (rc, out) == (0, f"catalog {cat}: ok, 2 entries\n")
+    rc, out, _ = run(capsys, "catalog", "show", "--catalog", str(cat))
+    assert rc == 0
+    assert out == "(13,3) best 3 exact=True source=x\n(15,3) best 4 exact=True source=x\n"
+
+
+def test_catalog_integrity_takes_the_exact_refund_floor(tmp_path, capsys):
+    # at (504, 9) the paper's floor is 31; the proven floor is 32
+    cat = tmp_path / "cat.jsonl"
+    entry = {"L": 504, "w": 9, "best_size": 32, "source": "x", "exact": False,
+             "generators": []}
+    cat.write_text(json.dumps(entry) + "\n")
+    assert run(capsys, "catalog", "check", "--catalog", str(cat))[0] == 0
+    cat.write_text(json.dumps(dict(entry, best_size=33)) + "\n")
+    rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert rc == 3
+    assert "(504,9) best_size 33 exceeds bound floor 32" in err
+
+
 def test_catalog_update_requires_files(capsys):
     rc, _, err = run(capsys, "catalog", "update")
     assert rc == 2
@@ -611,6 +690,15 @@ def test_catalog_integrity(tmp_path, capsys):
     rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
     assert rc == 3
     assert "do not certify" in err
+
+    # a generator that is no codeword at all fails the same way
+    cat.write_text(json.dumps({
+        "L": 13, "w": 3, "best_size": 1, "source": "forged",
+        "exact": False, "generators": [0],
+    }) + "\n")
+    rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert rc == 3
+    assert "(13,3) stored generators do not certify best_size 1" in err
 
     # update runs the same check: generators that are not a CAC are refused
     good = tmp_path / "good.jsonl"

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cacforge
-from cacforge.bounds import new_bound
+from cacforge.bounds import new_bound, prime_divisor_bound, subset_excess_bound
 from cacforge.codes import CertFlags, Certificate, Code, is_tight, verify_cac
 from cacforge.constructions import (
     Theorem1Params,
@@ -47,6 +47,7 @@ from cacforge.numtheory import (
     primitive_root,
     totient,
 )
+from cacforge.oracle import build_graph
 from conftest import subprocess_env
 from coset_reference import condition, theorem1_offender
 
@@ -253,6 +254,42 @@ def test_every_export_has_a_use_outside_the_unit_tests():
     library = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     used.update(re.findall(r"\bcf\.(\w+)", library))
     assert sorted(exported - used) == []
+
+
+def test_only_the_paper_reports_read_new_bound():
+    # every gate and the oracle's stop act on exact_refund_floor; new_bound
+    # is the paper's report, printed by `bound` and kept in certificates
+    package = Path(cacforge.__file__).parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> innermost enclosing function (ast.walk is breadth first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if getattr(node, "id", getattr(node, "attr", None)) == "new_bound":
+                readers.append(f"{path.stem}.{owner.get(node, '<module>')}")
+    assert sorted(readers) == ["cli.cmd_bound", "constructions._certificate"]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: construct_lemma1(13, 1), ParamMismatch, "need w >= 2, got 1"),
+    (lambda: construct_theorem1(Theorem1Params(13, 3, 0, 1)), ParamMismatch,
+     "need w >= 2, m >= 1, s >= 1, got (3, 0, 1)"),
+    (lambda: check_condition(1, 3, 1), ValueError, "need L >= 2 and w >= 2, got (1,3)"),
+    (lambda: factorize(0), ValueError, "factorize requires n >= 1"),
+    (lambda: multiplicative_order(1, 1), ValueError, "modulus must be >= 2"),
+    (lambda: cyclic_subgroup(1, 1), ValueError, "modulus must be >= 2"),
+    (lambda: build_graph(2, 3), ValueError, "need L >= w >= 2, got (2,3)"),
+    (lambda: prime_divisor_bound(1, 3), ValueError, "need L >= 2 and w >= 2"),
+    (lambda: subset_excess_bound(2, 3), ValueError, "need L >= w >= 2"),
+], ids=["lemma1-w", "theorem1-m", "check-condition-L", "factorize-0", "order-modulus",
+        "subgroup-modulus", "build-graph-L", "prime-divisor-L", "subset-excess-L"])
+def test_range_errors(call, error, message):
+    with pytest.raises(error) as ei:
+        call()
+    assert str(ei.value) == message
 
 
 def _counting(counts, name, fn):

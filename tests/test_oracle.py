@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import cacforge
 import cacforge.oracle as oracle
 import oracle_reference
-from cacforge.bounds import new_bound
+from cacforge.bounds import exact_refund_floor, new_bound
 from cacforge.codes import Code, verify_cac
 from cacforge.constructions import construct_lemma1
 from cacforge.errors import BudgetExceeded
@@ -26,12 +26,11 @@ from cacforge.oracle import (
     _max_clique,
     _refuted,
     _residue_cut,
-    _volume_ceiling,
     build_graph,
     certify,
     max_equi_diff_cac,
 )
-from oracle_reference import max_general_cac
+from oracle_reference import max_general_cac, volume_ceiling
 
 
 def test_build_graph_dedupes_mirrors():
@@ -119,7 +118,7 @@ def test_oracle_671_11_exact():
 def test_oracle_671_11_node_count():
     # machine-independent cost pin: 107,709 nodes without symmetry breaking,
     # 36,078 without the warm start and 3,963 without the refutation; the
-    # volume ceiling (34) is above the maximum, so the search exhausts its tree
+    # exact-refund floor (34) is above the maximum, so the search exhausts its tree
     assert max_equi_diff_cac(671, 11, budget=40_000_000, cap=700).nodes == 2_279
 
 
@@ -130,30 +129,42 @@ def test_oracle_budget_reports_nodes():
 
 
 def _ceiling(L, w):
-    return _volume_ceiling(map(len, build_graph(L, w).vertices), L)
+    return volume_ceiling(map(len, build_graph(L, w).vertices), L)
 
 
 def test_volume_ceiling_bounds_the_sweep():
-    # the criterion-3 sweep: no maximum exceeds the ceiling, which is the
-    # counting floor (p - 1)/(2w - 2) at prime lengths
+    # the criterion-3 sweep: no maximum exceeds the exact-refund floor, nor
+    # that floor the ceiling, which is the counting floor (p - 1)/(2w - 2)
+    # at prime lengths
     for w, cap in [(3, 80), (4, 60), (5, 60)]:
         for L in range(w, cap + 1):
             ceiling = _ceiling(L, w)
-            assert max_equi_diff_cac(L, w).size <= ceiling, (L, w)
+            assert max_equi_diff_cac(L, w).size <= exact_refund_floor(L, w) <= ceiling, (L, w)
             if is_prime(L) and L >= 2 * w - 1:
                 assert ceiling == (L - 1) // (2 * w - 2), (L, w)
 
 
+def test_exact_refund_floor_lies_between_the_paper_floor_and_the_volume_ceiling():
+    # over the ranges of the two search digests, so the oracle's stop never
+    # lies above the ceiling it replaced
+    ranges = [(w, range(w, 122)) for w in range(3, 7)]
+    ranges += [(w, range(122, top + 1)) for w, top in [(3, 200), (4, 200), (5, 180), (6, 180)]]
+    for w, lengths in ranges:
+        for L in lengths:
+            floor = exact_refund_floor(L, w)
+            assert new_bound(L, w).floor_value <= floor <= _ceiling(L, w), (L, w)
+
+
 def test_volume_ceiling_counts_the_smallest_sets():
-    assert _volume_ceiling([], 9) == 0
-    assert _volume_ceiling([4, 2, 2], 9) == 3  # 2 + 2 + 4 = 8
-    assert _volume_ceiling([4, 4, 2], 9) == 2  # 2 + 4 fit, a further 4 does not
-    assert _volume_ceiling([9], 9) == 0
+    assert volume_ceiling([], 9) == 0
+    assert volume_ceiling([4, 2, 2], 9) == 3  # 2 + 2 + 4 = 8
+    assert volume_ceiling([4, 4, 2], 9) == 2  # 2 + 4 fit, a further 4 does not
+    assert volume_ceiling([9], 9) == 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(2, 110), st.integers(2, 6))
-@example(13, 3)  # the greedy incumbent already meets the ceiling
+@example(13, 3)  # the greedy incumbent already meets the floor
 @example(95, 3)  # 40 nodes with the stop, 56 without
 @example(109, 3)  # 26 nodes with the stop, 52 without
 def test_ceiling_stop_keeps_size_and_witness(L, w):
@@ -161,7 +172,7 @@ def test_ceiling_stop_keeps_size_and_witness(L, w):
         return
     g = build_graph(L, w)
     orbits = g.unit_orbits()
-    stopped = _max_clique(g.adjacency, orbits, 10**7, _ceiling(L, w), g.vertices)
+    stopped = _max_clique(g.adjacency, orbits, 10**7, exact_refund_floor(L, w), g.vertices)
     exhausted = _max_clique(g.adjacency, orbits, 10**7, len(g.adjacency), g.vertices)
     assert stopped[:2] == exhausted[:2]
     assert stopped[2] <= exhausted[2]

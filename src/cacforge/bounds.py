@@ -17,26 +17,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, gcd, isqrt, prod
+from math import ceil, gcd, prod
 
 from .errors import InconsistentClaim, ParseError, UnsupportedWeight, json_int, json_ints
-from .numtheory import factorize, is_prime
-
-
-def _divisors_between(L: int, lo: int, hi: int) -> list[int]:
-    """Divisors of L in [lo, hi), ascending, for 1 <= lo.
-
-    Below sqrt(L) each d is tested; above it each cofactor L // d is, so
-    the scan is about sqrt(L) long at most however wide the range, and a
-    range below sqrt(L) is a plain scan.
-    """
-    root = isqrt(L) + 1
-    low = [d for d in range(lo, min(hi, root)) if L % d == 0]
-    top = max(lo, root)
-    if top >= hi:
-        return low
-    # d in [top, hi) iff its cofactor c = L // d lies in (L // hi, L // top]
-    return low + [L // c for c in range(L // top, L // hi, -1) if L % c == 0]
+from .numtheory import _divisors_between, factorize, is_prime
 
 
 def omega(L: int, w: int) -> tuple[int, ...]:

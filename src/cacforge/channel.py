@@ -16,11 +16,10 @@ import random
 from dataclasses import dataclass
 from math import ceil, log
 
-from .codes import Code, EquiDiffCodeword, code_from_json, support, verify_cac
+from .codes import Code, EquiDiffCodeword, code_from_json, require_cac, support
 from .errors import (
     BudgetExceeded,
     DuplicateAssignment,
-    NotACac,
     ParamMismatch,
     ParseError,
     json_int,
@@ -162,9 +161,7 @@ def simulate(sc: Scenario) -> SimReport:
     L bits above MASK_BITS_BUDGET raise BudgetExceeded before any is built.
     """
     code = sc.code
-    report = verify_cac(code)
-    if not report.ok:
-        raise NotACac(f"difference {report.witness} shared by codewords {report.pair}", report)
+    require_cac(code)
     L = code.length
     if (len(code) + 1) * L > MASK_BITS_BUDGET:
         raise BudgetExceeded(f"{len(code) + 1} masks of {L} bits exceed {MASK_BITS_BUDGET}")

@@ -54,51 +54,34 @@ def _err(msg: str) -> None:
 
 
 def cmd_bound(args) -> int:
-    br = new_bound(args.L, args.w)
-    if not args.all:
-        if args.json:
-            print(json.dumps(br.to_json(), sort_keys=True))
-        else:
-            print(
-                f"new bound for (L={args.L}, w={args.w}): floor {br.floor_value} "
-                f"(raw {br.raw_numerator}/{br.denominator}, "
-                f"omega_star {list(br.omega_star)})"
-            )
-        return 0
-    pd_val, pd_floor = prime_divisor_bound(args.L, args.w)
-    se_val, se_floor, se_set = subset_excess_bound(args.L, args.w)
-    try:
-        c1 = corollary1_bound(args.L, args.w)
-    except UnsupportedWeight:
-        c1 = None
+    out = {"new": new_bound(args.L, args.w).to_json()}
+    if args.all:
+        pd_val, pd_floor = prime_divisor_bound(args.L, args.w)
+        se_val, se_floor, se_set = subset_excess_bound(args.L, args.w)
+        try:
+            c1 = corollary1_bound(args.L, args.w)
+        except UnsupportedWeight:
+            c1 = None
+        out.update(
+            prime_divisor={"raw": f"{pd_val.numerator}/{pd_val.denominator}", "floor": pd_floor},
+            subset_excess={"raw": f"{se_val.numerator}/{se_val.denominator}", "floor": se_floor,
+                           "set": list(se_set)},
+            corollary1=c1,
+        )
+    new = out["new"]
     if args.json:
-        out = {
-            "new": br.to_json(),
-            "prime_divisor": {
-                "raw": f"{pd_val.numerator}/{pd_val.denominator}",
-                "floor": pd_floor,
-            },
-            "subset_excess": {
-                "raw": f"{se_val.numerator}/{se_val.denominator}",
-                "floor": se_floor,
-                "set": list(se_set),
-            },
-            "corollary1": c1,
-        }
-        print(json.dumps(out, sort_keys=True))
+        print(json.dumps(out if args.all else new, sort_keys=True))
+    elif not args.all:
+        print(f"new bound for (L={args.L}, w={args.w}): floor {new['floor']} "
+              f"(raw {new['raw']}, omega_star {new['omega_star']})")
     else:
-        print(f"bounds for (L={args.L}, w={args.w}):")
-        print(
-            f"  new:            floor {br.floor_value}  "
-            f"raw {br.raw_numerator}/{br.denominator}  "
-            f"omega_star {list(br.omega_star)}"
-        )
-        print(f"  prime-divisor:  floor {pd_floor}  raw {pd_val.numerator}/{pd_val.denominator}")
-        print(
-            f"  subset-excess:  floor {se_floor}  "
-            f"raw {se_val.numerator}/{se_val.denominator}  set {list(se_set)}"
-        )
-        print(f"  corollary1:     {c1 if c1 is not None else 'n/a (w outside 3..6)'}")
+        pd, se, c1 = out["prime_divisor"], out["subset_excess"], out["corollary1"]
+        print(f"bounds for (L={args.L}, w={args.w}):\n"
+              f"  new:            floor {new['floor']}  raw {new['raw']}  "
+              f"omega_star {new['omega_star']}\n"
+              f"  prime-divisor:  floor {pd['floor']}  raw {pd['raw']}\n"
+              f"  subset-excess:  floor {se['floor']}  raw {se['raw']}  set {se['set']}\n"
+              f"  corollary1:     {'n/a (w outside 3..6)' if c1 is None else c1}")
     return 0
 
 
@@ -239,8 +222,9 @@ def _normalize_entry(obj: dict) -> dict:
             L, w, size, gens = code["L"], code["w"], None, code["generators"]
             source = _source(obj.get("params", {}).get("method", "certificate"),
                              "params.method")
-            exact = any([json_flag(flags.get(k), k, what)
-                         for k in ("optimal_by_bound", "optimal_by_oracle")])
+            # only the flag's type is read; its claim is decided below
+            json_flag(flags.get("optimal_by_bound"), "optimal_by_bound", what)
+            exact = bool(json_flag(flags.get("optimal_by_oracle"), "optimal_by_oracle", what))
         else:
             raise ParseError("unrecognized catalog entry shape")
     except (KeyError, TypeError, AttributeError) as e:
@@ -255,6 +239,8 @@ def _normalize_entry(obj: dict) -> dict:
     if entry["best_size"] < 0:
         raise ParseError(f"malformed catalog entry (best_size {entry['best_size']} "
                          f"is negative)")
+    if size is None:  # a certificate: optimal by bound as every gate decides it
+        entry["exact"] = exact or len(gens) == exact_refund_floor(entry["L"], entry["w"])
     return entry
 
 

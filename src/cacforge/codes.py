@@ -174,15 +174,18 @@ def verify_cac(code: Code) -> VerificationReport:
     return VerificationReport(True, covered=covered)
 
 
+def require_cac(code: Code, prefix: str = "") -> None:
+    """Raise NotACac, its message after prefix, unless code is a CAC."""
+    report = verify_cac(code)
+    if not report.ok:
+        raise NotACac(f"{prefix}difference {report.witness} shared by codewords {report.pair}",
+                      report)
+
+
 def is_tight(code: Code) -> bool:
     # two passes where verify_cac(code).covered == L - 1 needs one; the
     # benchmark's tracer test pins the difference_set calls this makes
-    report = verify_cac(code)
-    if not report.ok:
-        raise NotACac(
-            f"difference {report.witness} shared by codewords {report.pair}",
-            report,
-        )
+    require_cac(code)
     total = sum(len(difference_set(cw).elements) for cw in code.codewords)
     return total == code.length - 1
 

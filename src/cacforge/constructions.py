@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .bounds import exact_refund_floor, new_bound
-from .codes import Certificate, CertFlags, Code, is_tight, verify_cac
+from .codes import Certificate, CertFlags, Code, is_tight, require_cac, verify_cac
 from .errors import (
     BudgetExceeded,
     ConditionNotSatisfied,
@@ -30,7 +30,6 @@ from .errors import (
     InputNotOptimal,
     InputNotTight,
     LengthsNotCoprimePrimes,
-    NotACac,
     NotAUnit,
     NotPrime,
     NotPrimitive,
@@ -38,6 +37,7 @@ from .errors import (
     SdrConditionFailed,
 )
 from .numtheory import (
+    _order_is,
     cyclic_subgroup,
     divisors,
     factorize,
@@ -88,15 +88,6 @@ class ConditionWitness:
         return {"kind": self.kind, "generator": self.H.generator, "order": self.H.order}
 
 
-def _order_is(a: int, t: int, n: int, primes) -> bool:
-    """a^t = 1 mod n and a^(t/q) != 1 for every q in primes dividing t.
-
-    That is "a has order exactly t" whenever primes holds every prime
-    factor of t.
-    """
-    return pow(a, t, n) == 1 and all(pow(a, t // q, n) != 1 for q in primes if t % q == 0)
-
-
 def _resolve_alpha(p: int, alpha: int | None, primes) -> int:
     """alpha checked to be primitive mod p, or the smallest primitive root.
 
@@ -114,13 +105,7 @@ def _resolve_alpha(p: int, alpha: int | None, primes) -> int:
 def _certificate(code: Code, params: dict) -> Certificate:
     # is_tight repeats verify_cac, where report.covered would do; the
     # benchmark's tracer test pins these three difference-set passes
-    report = verify_cac(code)
-    if not report.ok:
-        raise NotACac(
-            f"construction bug: difference {report.witness} shared by "
-            f"codewords {report.pair}",
-            report,
-        )
+    require_cac(code, "construction bug: ")
     flags = CertFlags(
         verified_cac=True,
         tight=is_tight(code),

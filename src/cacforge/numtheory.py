@@ -1,4 +1,4 @@
-"""Elementary number theory: primality, factorization, orders, subgroups.
+"""Elementary number theory: primality, factorization, divisors, orders, subgroups.
 
 Everything here is exact and deterministic. Magnitudes are desk scale
 (64-bit); Miller-Rabin with the fixed witness set below is deterministic
@@ -8,7 +8,7 @@ well past that range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import NotAUnit, NotPrime
 
@@ -102,12 +102,27 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(out))
 
 
+def _divisors_between(L: int, lo: int, hi: int) -> list[int]:
+    """Divisors of L in [lo, hi), ascending, for 1 <= lo.
+
+    Below sqrt(L) each d is tested; above it each cofactor L // d is, so
+    the scan is about sqrt(L) long at most however wide the range, and a
+    range below sqrt(L) is a plain scan.
+    """
+    root = isqrt(L) + 1
+    low = [d for d in range(lo, min(hi, root)) if L % d == 0]
+    top = max(lo, root)
+    if top >= hi:
+        return low
+    # d in [top, hi) iff its cofactor c = L // d lies in (L // hi, L // top]
+    return low + [L // c for c in range(L // top, L // hi, -1) if L % c == 0]
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    out = [1]
-    for p, e in factorize(n).factors:
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
+    if n < 1:
+        raise ValueError("divisors requires n >= 1")
+    return _divisors_between(n, 1, n + 1)
 
 
 def totient(n: int) -> int:
@@ -132,6 +147,15 @@ def multiplicative_order(a: int, L: int) -> int:
     return k
 
 
+def _order_is(a: int, t: int, n: int, primes) -> bool:
+    """a^t = 1 mod n and a^(t/q) != 1 for every q in primes dividing t.
+
+    That is "a has order exactly t" whenever primes holds every prime
+    factor of t.
+    """
+    return pow(a, t, n) == 1 and all(pow(a, t // q, n) != 1 for q in primes if t % q == 0)
+
+
 def primitive_root(p: int) -> int:
     """Smallest primitive root of the prime p (1 for p = 2)."""
     if not is_prime(p):
@@ -139,10 +163,7 @@ def primitive_root(p: int) -> int:
     if p == 2:
         return 1
     qs = factorize(p - 1).primes
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-    raise AssertionError("unreachable: every prime has a primitive root")
+    return next(g for g in range(2, p) if _order_is(g, p - 1, p, qs))
 
 
 @dataclass(frozen=True)

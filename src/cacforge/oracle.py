@@ -61,15 +61,15 @@ meets. Where the maximum lies below the floor, as at (671, 11) (floor
 34) and (504, 9) (floor 32), the tree is searched to its end.
 
 Counting residues also cuts single branches, as exact-cover solvers do
-(Knuth, "Dancing Links", 2000); `_residue_cut` gives the argument. The
+(Knuth, "Dancing Links", 2000); `_branch_cut` gives the argument. The
 residues a clique leaves open must hold the sets it still needs; when
 they hold them exactly, every open column {x, L - x} needs a holder, and
-unit propagation runs over the column holders. These cuts too skip only
-subtrees without a clique above bar, so the witness is the same. The
-tight w = 3 primes become backtrack-free: (229, 3) takes 56 nodes (457
-without the residue cut, 1,113 also without the refutation, 1,490 cold,
-2,916 without the stop) and (355, 6) 34 (100, 175, 3,000 cold). The gap
-instances keep their counts.
+the column holders join the colour classes in one unit propagation per
+branch. These cuts too skip only subtrees without a clique above bar, so
+the witness is the same. The tight w = 3 primes become backtrack-free:
+(229, 3) takes 56 nodes (457 without the residue cut, 1,113 also without
+the refutation, 1,490 cold, 2,916 without the stop) and (355, 6) 34 (100,
+175, 3,000 cold). The gap instances keep their counts.
 """
 
 from __future__ import annotations
@@ -246,8 +246,9 @@ def _degree_greedy(adj) -> list[int]:
     return clique
 
 
-def _residue_cut(L: int, spare: int, sub: int, open_: int, masks, holders, rows, classes) -> bool:
-    """True if counting residues refutes every clique inside sub that beats bar.
+def _branch_cut(L: int, smin: int, spare: int, sub: int, open_: int, masks, holders, rows,
+                classes) -> bool:
+    """True only if no clique inside sub beats bar; one propagation at most.
 
     open_ marks the residues of Z_L minus 0 that the path leaves uncovered,
     masks[k] the residues of candidate k, and spare is how many residues a
@@ -255,16 +256,22 @@ def _residue_cut(L: int, spare: int, sub: int, open_: int, masks, holders, rows,
     At 0 it covers every open residue. Every set is closed under negation,
     so the residues pair into columns {x, L - x}, x <= L/2, and holders[x]
     is the mask of the candidates holding column x. They share a residue,
-    so they are an independent set that the clique meets once, and unit
-    propagation over the open columns and the given colour classes decides.
-    Above 0, more open residues that no candidate holds than spare refute.
+    so they are an independent set that the clique meets once, and they
+    join the given colour classes, which it also meets once each. Above 0
+    and below two sets of smin residues, more open residues that no
+    candidate holds than spare refute. Unit propagation is monotone in its
+    classes, so one run over the columns and the classes together cuts
+    whatever a run over either would.
     """
     if spare < 0:
         return True
     if spare == 0:
-        columns = _members(open_ & (2 << L // 2) - 2)
-        return _refuted(sub, [holders[x] for x in columns] + classes, rows)
-    return (open_ & ~reduce(or_, compress(masks, _bits(sub)))).bit_count() > spare
+        classes = [holders[x] for x in _members(open_ & (2 << L // 2) - 2)] + classes
+    elif spare < 2 * smin and (
+        open_ & ~reduce(or_, compress(masks, _bits(sub)))
+    ).bit_count() > spare:
+        return True
+    return bool(classes) and _refuted(sub, classes, rows)
 
 
 def _max_clique(adj, orbits, budget: int, ceiling: int, sets) -> tuple[int, list[int], int]:
@@ -333,12 +340,8 @@ def _max_clique(adj, orbits, budget: int, ceiling: int, sets) -> tuple[int, list
                 # smin residues each from those v leaves open
                 rest = open_ ^ masks[v]
                 spare = rest.bit_count() - (bar - size) * smin
-                if not (
-                    spare < 2 * smin
-                    and _residue_cut(
-                        L, spare, sub, rest, masks, holders, rows, peeled if tight else []
-                    )
-                    or tight and _refuted(sub, peeled, rows)
+                if not _branch_cut(
+                    L, smin, spare, sub, rest, masks, holders, rows, peeled if tight else []
                 ):
                     expand(size + 1, sub, rest, rows, non, verts, masks, holders)
             elif size + 1 > bar:
@@ -429,10 +432,8 @@ def max_equi_diff_cac(
     return OracleResult(L, w, size, witness, True, nodes)
 
 
-def certify(
-    cert: Certificate, budget: int = DEFAULT_NODE_BUDGET, cap: int | None = None
-) -> Certificate:
+def certify(cert: Certificate) -> Certificate:
     """Fill oracle_max and optimal_by_oracle; never downgrades other flags."""
-    res = max_equi_diff_cac(cert.code.length, cert.code.weight, budget, cap)
+    res = max_equi_diff_cac(cert.code.length, cert.code.weight)
     flags = replace(cert.flags, optimal_by_oracle=len(cert.code) == res.size)
     return replace(cert, flags=flags, oracle_max=res.size)

@@ -2,8 +2,9 @@
 reference the faster ones in `cacforge.oracle` are checked against.
 
 `build_graph` scans every generator 1..L-1, `by_degree` relabels each row
-one bit at a time, and `degree_greedy` tests every vertex index for
-membership at each step. `max_general_cac` runs the oracle's clique
+one bit at a time, `degree_greedy` tests every vertex index for
+membership at each step, and `colour_refutation` is the branch check
+before the residue cuts. `max_general_cac` runs the oracle's clique
 search over arbitrary w-subsets, not only arithmetic progressions, and
 stops it at `volume_ceiling`, a count that needs only the sets' sizes.
 """
@@ -55,6 +56,14 @@ def degree_greedy(adj) -> list[int]:
         clique.append(v)
         P &= adj[v]
     return clique
+
+
+def colour_refutation(L, smin, spare, sub, open_, masks, holders, rows, classes) -> bool:
+    """`oracle._branch_cut` without the residue cuts: the colour-class
+    refutation alone, as the oracle ran it before the residue columns
+    joined it. It takes the helper's arguments, so a test can put it in
+    the helper's place and keep the refutation while it drops the cuts."""
+    return oracle._refuted(sub, classes, rows)
 
 
 def volume_ceiling(sizes, L: int) -> int:

@@ -2,7 +2,6 @@ import json
 import random
 from itertools import combinations, product
 from math import gcd
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -186,7 +185,7 @@ def test_sampling_matches_random_on_a_clashing_code(monkeypatch, L, generators):
         if 0 in counts:
             violations.append({"trial": t, "active": [[i, d] for i, d in active]})
     assert violations
-    monkeypatch.setattr(channel, "verify_cac", lambda code: SimpleNamespace(ok=True))
+    monkeypatch.setattr(channel, "require_cac", lambda code: None)
     rep = simulate(Scenario(code, seed=11, trials=400))
     assert rep.per_user == per_user
     assert rep.violations == tuple(violations)

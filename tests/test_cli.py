@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cacforge.cli as cli
+from cacforge.bounds import exact_refund_floor
 from cacforge.channel import SimReport
 from cacforge.cli import _build_parser, main
 from cacforge.codes import (
@@ -110,6 +111,17 @@ def test_bound_all(capsys):
     obj = json.loads(out)
     assert obj["corollary1"] is None
     assert obj["new"]["floor"] == 18
+
+
+def test_bound_outputs_are_frozen():
+    # sha256 over exit code and stdout, recorded before the text and the JSON
+    # were rendered from one dict, with and without --all and --json
+    h = hashlib.sha256()
+    for L, w in [(13, 3), (36, 4), (252, 8), (504, 9), (671, 11), (720720, 30)]:
+        for flags in [(), ("--all",), ("--json",), ("--all", "--json")]:
+            rc, out, _ = run_quiet("bound", L, w, *flags)
+            h.update(f"{rc}\n{out}".encode())
+    assert h.hexdigest() == "d0dd83dd7b6a1abe71249942b318f9943580a7a91e0f7e65dedafe3bba23c62a"
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
@@ -587,6 +599,31 @@ def test_catalog_integrity_takes_the_exact_refund_floor(tmp_path, capsys):
     rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
     assert rc == 3
     assert "(504,9) best_size 33 exceeds bound floor 32" in err
+
+
+def test_catalog_decides_a_certificate_bound_claim_by_the_floor(tmp_path, capsys):
+    # one codeword at (13, 3) flagged optimal by bound, where the floor and
+    # the maximum are 3: the entry is not exact, and check passes on it
+    cat, cert = tmp_path / "cat.jsonl", tmp_path / "cert.json"
+    claim = {"code": {"L": 13, "w": 3, "generators": [1]}, "flags": {"optimal_by_bound": True}}
+    cert.write_text(json.dumps(claim))
+    assert run(capsys, "catalog", "update", str(cert), "--catalog", str(cat))[0] == 0
+    assert run(capsys, "catalog", "show", "--catalog", str(cat))[1] == (
+        "(13,3) best 1 exact=False source=certificate\n")
+    assert run(capsys, "catalog", "check", "--catalog", str(cat))[0] == 0
+    assert exact_refund_floor(13, 3) == 3
+    # a code that meets the floor is exact whatever its flag says
+    claim = {"code": {"L": 13, "w": 3, "generators": [1, 3, 4]},
+             "flags": {"optimal_by_bound": False}}
+    cert.write_text(json.dumps(claim))
+    assert run(capsys, "catalog", "update", str(cert), "--catalog", str(cat))[0] == 0
+    assert run(capsys, "catalog", "show", "--catalog", str(cat))[1] == (
+        "(13,3) best 3 exact=True source=certificate\n")
+    # and the flag's type is still checked
+    cert.write_text(json.dumps(dict(claim, flags={"optimal_by_bound": "yes"})))
+    rc, _, err = run(capsys, "catalog", "update", str(cert), "--catalog", str(cat))
+    assert rc == 3
+    assert "optimal_by_bound must be true, false or null" in err
 
 
 def test_catalog_update_requires_files(capsys):

@@ -16,7 +16,6 @@ from cacforge.bounds import new_bound, prime_divisor_bound, subset_excess_bound
 from cacforge.codes import CertFlags, Certificate, Code, is_tight, verify_cac
 from cacforge.constructions import (
     Theorem1Params,
-    _order_is,
     _resolve_alpha,
     _theorem1_sdr_holds,
     check_condition,
@@ -39,6 +38,7 @@ from cacforge.errors import (
     SdrConditionFailed,
 )
 from cacforge.numtheory import (
+    _order_is,
     cyclic_subgroup,
     divisors,
     factorize,
@@ -273,19 +273,47 @@ def test_only_the_paper_reports_read_new_bound():
     assert sorted(readers) == ["cli.cmd_bound", "constructions._certificate"]
 
 
+def test_each_check_is_made_in_one_place():
+    # one unit propagation per oracle branch, one clash message, one exact
+    # order test and one divisor scan
+    package = Path(cacforge.__file__).parent
+    propagations, clashes, defined = [], [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> innermost enclosing function (ast.walk is breadth first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+                if fn.name in ("_order_is", "_divisors_between"):
+                    defined.append(f"{path.stem}.{fn.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                site = f"{path.stem}.{owner.get(node, '<module>')}"
+                if name == "_refuted":
+                    propagations.append(site)
+                elif name == "NotACac":
+                    clashes.append(site)
+    assert propagations == ["oracle._branch_cut"]
+    assert sorted(clashes) == ["codes.require_cac", "oracle.max_equi_diff_cac"]
+    assert sorted(defined) == ["numtheory._divisors_between", "numtheory._order_is"]
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: construct_lemma1(13, 1), ParamMismatch, "need w >= 2, got 1"),
     (lambda: construct_theorem1(Theorem1Params(13, 3, 0, 1)), ParamMismatch,
      "need w >= 2, m >= 1, s >= 1, got (3, 0, 1)"),
     (lambda: check_condition(1, 3, 1), ValueError, "need L >= 2 and w >= 2, got (1,3)"),
     (lambda: factorize(0), ValueError, "factorize requires n >= 1"),
+    (lambda: divisors(0), ValueError, "divisors requires n >= 1"),
     (lambda: multiplicative_order(1, 1), ValueError, "modulus must be >= 2"),
     (lambda: cyclic_subgroup(1, 1), ValueError, "modulus must be >= 2"),
     (lambda: build_graph(2, 3), ValueError, "need L >= w >= 2, got (2,3)"),
     (lambda: prime_divisor_bound(1, 3), ValueError, "need L >= 2 and w >= 2"),
     (lambda: subset_excess_bound(2, 3), ValueError, "need L >= w >= 2"),
-], ids=["lemma1-w", "theorem1-m", "check-condition-L", "factorize-0", "order-modulus",
-        "subgroup-modulus", "build-graph-L", "prime-divisor-L", "subset-excess-L"])
+], ids=["lemma1-w", "theorem1-m", "check-condition-L", "factorize-0", "divisors-0",
+        "order-modulus", "subgroup-modulus", "build-graph-L", "prime-divisor-L",
+        "subset-excess-L"])
 def test_range_errors(call, error, message):
     with pytest.raises(error) as ei:
         call()
@@ -387,9 +415,10 @@ def test_prime_length_construction_factors_once(monkeypatch):
         construct_theorem1(Theorem1Params(919, 4, 153, 1, 7))
     assert calls == [918]
     calls.clear()
-    # primitive_root and divisors, then one factorization per divisor s of 153
+    # primitive_root, then one factorization per divisor s of 153; divisors
+    # scans for them and factorizes nothing
     find_theorem1_params(919, 4)
-    assert calls == [918, 153] + [918] * 6
+    assert calls == [918] + [918] * 6
 
 
 def test_constructions_refuse_codes_above_the_cap(monkeypatch):

@@ -99,6 +99,22 @@ def test_divisors():
     assert divisors(919) == [1, 919]
 
 
+def _divisors_by_factorization(n):
+    # the enumerator divisors used before its square-root scan
+    out = [1]
+    for p, e in factorize(n).factors:
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def test_divisors_match_the_factorization_enumerator():
+    for n in range(1, 10_001):
+        assert divisors(n) == _divisors_by_factorization(n), n
+    # large smooth lengths, with divisors on both sides of the square root
+    for n in [720720, 12252240, 2 ** 20 * 3 ** 8, 2 ** 12 * 3 ** 4 * 5 ** 3 * 7 ** 2 * 11]:
+        assert divisors(n) == _divisors_by_factorization(n), n
+
+
 def test_totient_pins():
     assert totient(1) == 1
     assert totient(12) == 4
@@ -133,6 +149,15 @@ def test_multiplicative_order_random(rng):
         assert totient(L) % d == 0
         # minimality
         assert all(pow(a, k, L) != 1 for k in range(1, min(d, 40)))
+
+
+def test_primitive_root_is_the_least_generator():
+    for p in range(2, 2000):
+        if not is_prime(p):
+            continue
+        # the least g whose powers reach every unit (1 for p = 2)
+        least = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+        assert primitive_root(p) == least, p
 
 
 def test_primitive_root():

@@ -20,17 +20,17 @@ from cacforge.constructions import construct_lemma1
 from cacforge.errors import BudgetExceeded
 from cacforge.numtheory import is_prime
 from cacforge.oracle import (
+    _branch_cut,
     _by_degree,
     _degree_greedy,
     _disjointness_rows,
     _max_clique,
     _refuted,
-    _residue_cut,
     build_graph,
     certify,
     max_equi_diff_cac,
 )
-from oracle_reference import max_general_cac, volume_ceiling
+from oracle_reference import colour_refutation, max_general_cac, volume_ceiling
 
 
 def test_build_graph_dedupes_mirrors():
@@ -307,7 +307,7 @@ def test_residue_cut_keeps_size_and_witness(L, w):
     for orbits in (g.unit_orbits(), [[i] for i in range(len(g.adjacency))]):
         cut = _max_clique(g.adjacency, orbits, 10**7, ceiling, g.vertices)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_residue_cut", lambda *args: False)
+            mp.setattr(oracle, "_branch_cut", colour_refutation)
             full = _max_clique(g.adjacency, orbits, 10**7, ceiling, g.vertices)
         assert cut[:2] == full[:2]
         assert cut[2] <= full[2]
@@ -316,20 +316,21 @@ def test_residue_cut_keeps_size_and_witness(L, w):
 @pytest.mark.parametrize("w", [3, 4])
 def test_max_general_cac_keeps_its_answer_under_the_residue_cut(w, monkeypatch):
     cut = [max_general_cac(L, w) for L in range(w, 21)]
-    monkeypatch.setattr(oracle, "_residue_cut", lambda *args: False)
+    monkeypatch.setattr(oracle, "_branch_cut", colour_refutation)
     assert cut == [max_general_cac(L, w) for L in range(w, 21)]
 
 
 def _cut(L, spare, sub, cover, holders, rows, classes=()):
-    # _residue_cut with the path's columns, each candidate's residues and the
-    # open residues read off the column masks
+    # _branch_cut with the path's columns, each candidate's residues and the
+    # open residues read off the column masks; the sets hold at least 2
+    # residues, so the dead count runs at every spare up to 3
     def residues(columns):
         return sum(1 << x | 1 << L - x for x in range(1, L // 2 + 1) if columns >> x & 1)
 
     masks = [residues(sum(1 << x for x, h in enumerate(holders) if h >> k & 1))
              for k in range(len(rows))]
     open_ = (1 << L) - 2 ^ residues(cover)
-    return _residue_cut(L, spare, sub, open_, masks, holders, rows, list(classes))
+    return _branch_cut(L, 2, spare, sub, open_, masks, holders, rows, list(classes))
 
 
 def test_residue_cut_counts_each_column():
@@ -344,6 +345,10 @@ def test_residue_cut_counts_each_column():
     assert _cut(8, 2, 0b01, 0b00110, holders, rows)
     # column 4 alone is dead: one residue, not two
     assert not _cut(8, 1, 0b01, 0b01110, holders, rows)
+    # the dead count runs only below two sets of smin residues: with only
+    # candidate 0, five open residues are dead
+    assert _cut(8, 3, 0b01, 0, holders, rows)
+    assert not _cut(8, 4, 0b01, 0, holders, rows)
     # at odd L the last column holds two residues: Z_7 minus 0, columns 1..3
     assert _cut(7, 1, 0b01, 0b0110, holders[:4], rows)
     # at spare 0 every open column needs a holder among the candidates
@@ -410,6 +415,41 @@ def test_refuted_follows_a_chain_of_forced_vertices():
     adj = _graph(7, edges + [(4, 5)])
     assert not _refuted(S, classes, adj)
     assert _meets_every_class(S, classes, adj)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_refuted_is_monotone_in_its_classes(data):
+    # refuted over some classes means refuted over those and any more, in
+    # any order: so _branch_cut propagates once over the open columns and
+    # the colour classes together, where a second run over fewer classes
+    # could never cut. Classes here are any vertex sets, as columns are.
+    n = data.draw(st.integers(1, 10))
+    adj = [0] * n
+    for u, v in combinations(range(n), 2):
+        if data.draw(st.booleans()):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    masks = st.integers(0, (1 << n) - 1)
+    S = data.draw(masks)
+    some = data.draw(st.lists(masks, max_size=4))
+    more = data.draw(st.permutations(some + data.draw(st.lists(masks, max_size=4))))
+    if _refuted(S, some, adj):
+        assert _refuted(S, more, adj)
+
+
+def test_one_propagation_per_branch_on_the_tight_bench_instances():
+    # 315 runs of _refuted before the residue columns and the colour classes
+    # shared one: a tight branch at spare 0 ran it over both, then over the
+    # classes alone (22, 38, 47 and 26 such repeats)
+    runs = []
+    real = oracle._refuted
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_refuted", lambda *args: runs.append(1) or real(*args))
+        nodes = [max_equi_diff_cac(L, w, cap=L).nodes
+                 for L, w in [(181, 4), (197, 3), (229, 3), (241, 4)]]
+    assert nodes == [29, 48, 56, 39]
+    assert len(runs) == 30 + 51 + 62 + 39
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -68,10 +68,28 @@ def cross_correlation(a: ProtocolSequence, b: ProtocolSequence, tau: int) -> int
 
 @dataclass(frozen=True)
 class Scenario:
+    """Explicit (an active set of distinct (codeword index, delay) pairs,
+    run once, trials 0) or sampled (no active set, trials >= 0 seeded
+    runs, which need a codeword); anything else is refused here."""
+
     code: Code
     active: tuple[tuple[int, int], ...] = ()
     seed: int = 0
     trials: int = 0
+
+    def __post_init__(self):
+        if self.trials < 0:
+            raise ValueError(f"trials must be >= 0, got {self.trials}")
+        idxs, n = [i for i, _ in self.active], len(self.code)
+        if idxs and self.trials:
+            raise ParamMismatch(f"an active set runs once; trials must be 0, got {self.trials}")
+        if len(set(idxs)) != len(idxs):
+            raise DuplicateAssignment(f"codeword indices repeat in {idxs}")
+        for i in idxs:
+            if not 0 <= i < n:
+                raise ParamMismatch(f"codeword index {i} out of range for {n} codewords")
+        if self.trials and not n:
+            raise ParamMismatch("sampled trials need at least one codeword")
 
 
 @dataclass(frozen=True)
@@ -93,18 +111,17 @@ class SimReport:
 def scenario_from_json(obj: dict) -> Scenario:
     what = "scenario"
     try:
-        sc = Scenario(
-            code=code_from_json(obj["code"]),
-            active=tuple((json_int(e["idx"], "idx", what), json_int(e["delay"], "delay", what))
-                         for e in obj.get("active", [])),
-            seed=json_int(obj.get("seed", 0), "seed", what),
-            trials=json_int(obj.get("trials", 0), "trials", what),
-        )
+        code = code_from_json(obj["code"])
+        active = tuple((json_int(e["idx"], "idx", what), json_int(e["delay"], "delay", what))
+                       for e in obj.get("active", []))
+        seed = json_int(obj.get("seed", 0), "seed", what)
+        trials = json_int(obj.get("trials", 0), "trials", what)
     except (KeyError, TypeError) as e:
         raise ParseError(f"malformed scenario ({type(e).__name__}: {e})") from e
-    if sc.trials < 0:
-        raise ParseError(f"trials must be >= 0, got {sc.trials}")
-    return sc
+    try:
+        return Scenario(code, active, seed, trials)
+    except ValueError as e:
+        raise ParseError(str(e)) from e
 
 
 def _run_once(on_air: list[int]) -> list[int]:
@@ -169,12 +186,6 @@ def simulate(sc: Scenario) -> SimReport:
     masks = [to_protocol_sequence(cw).mask for cw in code.codewords]
 
     if sc.active:
-        idxs = [i for i, _ in sc.active]
-        if len(set(idxs)) != len(idxs):
-            raise DuplicateAssignment(f"codeword indices repeat in {idxs}")
-        for i in idxs:
-            if not 0 <= i < len(code):
-                raise ParamMismatch(f"codeword index {i} out of range for {len(code)} codewords")
         counts = _run_once([_rot(masks[i], -d, L, full) for i, d in sc.active])
         per_user = {i: c for (i, _), c in zip(sc.active, counts)}
         violations = []
@@ -183,8 +194,6 @@ def simulate(sc: Scenario) -> SimReport:
         return SimReport(per_user, tuple(violations), 1, sc.seed)
 
     n = len(code)
-    if sc.trials and not n:
-        raise ParamMismatch("sampled trials need at least one codeword")
     per_user = {i: 0 for i in range(n)}
     violations = []
     rng = random.Random()

@@ -45,6 +45,7 @@ from .errors import (
     json_flag,
     json_int,
     json_ints,
+    json_str,
 )
 from .oracle import DEFAULT_NODE_BUDGET, max_equi_diff_cac
 
@@ -85,36 +86,42 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _load_certificate(path: str) -> Certificate:
-    return Certificate.from_json(json.loads(Path(path).read_text()))
+def _read_json(path: str, jsonl: bool = False):
+    """The JSON value in the file at path, or with jsonl the values on its
+    non-blank lines. A syntax error is a ParseError naming file, line and column."""
+    text = Path(path).read_text()
+    docs = ([(n, t) for n, t in enumerate(text.splitlines(), 1) if t.strip()]
+            if jsonl else [(1, text)])
+    values = []
+    for first, doc in docs:
+        try:
+            values.append(json.loads(doc))
+        except json.JSONDecodeError as e:
+            raise ParseError(f"parse error at {path} line {first + e.lineno - 1} "
+                             f"column {e.colno}: {e.msg}") from e
+    return values if jsonl else values[0]
 
 
-_CONSTRUCT_NEEDS = {
-    "lemma1": ("p", "w"),
-    "theorem1": ("p", "w", "m", "s"),
-    "theorem2": ("cert1", "cert2"),
-    "two-prime": ("p", "q", "w"),
+# each method's required flags and its builder; a builder names its
+# construct_* when called, so a replaced module global is the one it runs
+_CONSTRUCT = {
+    "lemma1": (("p", "w"), lambda a: construct_lemma1(a.p, a.w, a.alpha, a.cap)),
+    "theorem1": (("p", "w", "m", "s"), lambda a: construct_theorem1(
+        Theorem1Params(a.p, a.w, a.m, a.s, a.alpha), a.cap)),
+    "theorem2": (("cert1", "cert2"), lambda a: construct_theorem2(
+        Certificate.from_json(_read_json(a.cert1)), Certificate.from_json(_read_json(a.cert2)),
+        a.cap)),
+    "two-prime": (("p", "q", "w"), lambda a: construct_two_prime(a.p, a.q, a.w, a.cap)),
 }
 
 
 def cmd_construct(args) -> int:
-    method = args.method
-    flags = [f"--{name}" for name in _CONSTRUCT_NEEDS[method]]
-    if any(getattr(args, name) in (None, "") for name in _CONSTRUCT_NEEDS[method]):
-        _err(f"construct {method} requires {', '.join(flags[:-1])} and {flags[-1]}")
+    needs, build = _CONSTRUCT[args.method]
+    if any(getattr(args, name) in (None, "") for name in needs):
+        flags = [f"--{name}" for name in needs]
+        _err(f"construct {args.method} requires {', '.join(flags[:-1])} and {flags[-1]}")
         return 2
-    if method == "lemma1":
-        cert = construct_lemma1(args.p, args.w, args.alpha, args.cap)
-    elif method == "theorem1":
-        cert = construct_theorem1(
-            Theorem1Params(args.p, args.w, args.m, args.s, args.alpha), args.cap
-        )
-    elif method == "theorem2":
-        cert = construct_theorem2(
-            _load_certificate(args.cert1), _load_certificate(args.cert2), args.cap
-        )
-    else:  # two-prime
-        cert = construct_two_prime(args.p, args.q, args.w, args.cap)
+    cert = build(args)
     text = json.dumps(cert.to_json(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -126,7 +133,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    obj = json.loads(Path(args.file).read_text())
+    obj = _read_json(args.file)
     if isinstance(obj, dict) and "code" in obj and "generators" not in obj:
         obj = obj["code"]
     code = code_from_json(obj)
@@ -178,7 +185,7 @@ def _non_negative(text: str) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sc = scenario_from_json(json.loads(Path(args.file).read_text()))
+    sc = scenario_from_json(_read_json(args.file))
     if args.seed is not None:
         sc = replace(sc, seed=args.seed)
     if args.trials is not None:
@@ -199,20 +206,13 @@ def _catalog_path(args) -> str:
     return args.catalog or os.environ.get("CACFORGE_CATALOG") or "catalog.jsonl"
 
 
-def _source(value, name: str) -> str:
-    """A catalog entry's source: a JSON string; anything else is a ParseError."""
-    if type(value) is not str:
-        raise ParseError(f"malformed catalog entry ({name} must be a string, got {value!r})")
-    return value
-
-
 def _normalize_entry(obj: dict) -> dict:
     """Accept native catalog entries, oracle results, or certificates."""
     what = "catalog entry"
     try:
         if "best_size" in obj:
             L, w, size, gens = obj["L"], obj["w"], obj["best_size"], obj.get("generators", [])
-            source = _source(obj.get("source", "unknown"), "source")
+            source = json_str(obj.get("source", "unknown"), "source", what)
             exact = bool(json_flag(obj.get("exact", False), "exact", what))
         elif "max" in obj and "witness" in obj:
             L, w, size, gens = obj["L"], obj["w"], obj["max"], obj["witness"]
@@ -220,8 +220,8 @@ def _normalize_entry(obj: dict) -> dict:
         elif "code" in obj:
             code, flags = obj["code"], obj.get("flags", {})
             L, w, size, gens = code["L"], code["w"], None, code["generators"]
-            source = _source(obj.get("params", {}).get("method", "certificate"),
-                             "params.method")
+            source = json_str(obj.get("params", {}).get("method", "certificate"),
+                              "params.method", what)
             # only the flag's type is read; its claim is decided below
             json_flag(flags.get("optimal_by_bound"), "optimal_by_bound", what)
             exact = bool(json_flag(flags.get("optimal_by_oracle"), "optimal_by_oracle", what))
@@ -245,22 +245,8 @@ def _normalize_entry(obj: dict) -> dict:
 
 
 def _load_catalog(path: str) -> dict:
-    entries: dict = {}
-    p = Path(path)
-    if not p.exists():
-        return entries
-    for lineno, line in enumerate(p.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise CacError(
-                f"parse error at {path} line {lineno} column {e.colno}: {e.msg}"
-            ) from e
-        entry = _normalize_entry(obj)
-        entries[(entry["L"], entry["w"])] = entry
-    return entries
+    objs = _read_json(path, jsonl=True) if Path(path).exists() else []
+    return {(e["L"], e["w"]): e for e in map(_normalize_entry, objs)}
 
 
 def _write_catalog(path: str, entries: dict) -> None:
@@ -278,7 +264,10 @@ def _write_catalog(path: str, entries: dict) -> None:
 
 
 def _integrity_error(entries: dict) -> str | None:
-    """The first entry whose size beats the bound or whose generators do not certify it."""
+    """The first entry whose size beats the bound or whose generators do not
+    certify it; then the first exact claim below the bound that the oracle,
+    under its default caps and budget, does not confirm."""
+    claims = []
     for (L, w), entry in sorted(entries.items()):
         floor = exact_refund_floor(L, w)
         if entry["best_size"] > floor:
@@ -293,42 +282,30 @@ def _integrity_error(entries: dict) -> str | None:
             if not ok:
                 return (f"integrity error: ({L},{w}) stored generators do not "
                         f"certify best_size {entry['best_size']}")
+        if entry["exact"] and entry["best_size"] < floor:
+            claims.append((L, w, entry["best_size"]))
+    for L, w, size in claims:
+        try:
+            found = max_equi_diff_cac(L, w).size
+        except CacError as e:
+            return (f"integrity error: ({L},{w}) best_size {size} is claimed exact, "
+                    f"but the oracle cannot reach it: {e}")
+        if found != size:
+            return (f"integrity error: ({L},{w}) best_size {size} is claimed exact, "
+                    f"but the oracle finds M^e({L},{w}) = {found}")
     return None
 
 
 def cmd_catalog(args) -> int:
     path = _catalog_path(args)
-    if args.action == "update":
-        if not args.files:
-            _err("catalog update requires at least one result file")
-            return 2
-        entries = _load_catalog(path)
-        changed = 0
-        for f in args.files:
-            entry = _normalize_entry(json.loads(Path(f).read_text()))
-            key = (entry["L"], entry["w"])
-            old = entries.get(key)
-            better = (
-                old is None
-                or entry["best_size"] > old["best_size"]
-                or (entry["best_size"] == old["best_size"]
-                    and entry["exact"] and not old["exact"])
-            )
-            if better:
-                entries[key] = entry
-                changed += 1
-        error = _integrity_error(entries)
-        if error:
-            _err(error)
-            return 3
-        _write_catalog(path, entries)
-        print(f"catalog {path}: {len(entries)} entries ({changed} updated)")
-        return 0
+    update = args.action == "update"
+    if update and not args.files:
+        _err("catalog update requires at least one result file")
+        return 2
     entries = _load_catalog(path)
     if args.action == "show":
         if not entries:
             print(f"catalog {path}: empty")
-            return 0
         for key in sorted(entries):
             entry = entries[key]
             if args.json:
@@ -339,12 +316,24 @@ def cmd_catalog(args) -> int:
                     f"exact={entry['exact']} source={entry['source']}"
                 )
         return 0
-    # check
+    changed = 0
+    for f in args.files if update else ():
+        entry = _normalize_entry(_read_json(f))
+        key = (entry["L"], entry["w"])
+        old = entries.get(key)
+        # a larger size wins, and at equal size an exact entry
+        if old is None or (entry["best_size"], entry["exact"]) > (old["best_size"], old["exact"]):
+            entries[key] = entry
+            changed += 1
     error = _integrity_error(entries)
     if error:
         _err(error)
         return 3
-    print(f"catalog {path}: ok, {len(entries)} entries")
+    if update:
+        _write_catalog(path, entries)
+        print(f"catalog {path}: {len(entries)} entries ({changed} updated)")
+    else:
+        print(f"catalog {path}: ok, {len(entries)} entries")
     return 0
 
 
@@ -356,15 +345,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "constructions, verification, search, simulation",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    js = argparse.ArgumentParser(add_help=False)
+    js.add_argument("--json", action="store_true", help="print JSON (construct always does)")
 
-    b = sub.add_parser("bound", help="upper bounds for (L, w)")
+    b = sub.add_parser("bound", parents=[js], help="upper bounds for (L, w)")
     b.add_argument("L", type=int)
     b.add_argument("w", type=int)
     b.add_argument("--all", action="store_true", help="print comparison bounds too")
-    b.add_argument("--json", action="store_true")
 
-    c = sub.add_parser("construct", help="run a construction, emit its certificate")
-    c.add_argument("method", choices=["lemma1", "theorem1", "theorem2", "two-prime"])
+    c = sub.add_parser("construct", parents=[js], help="run a construction, emit its certificate")
+    c.add_argument("method", choices=list(_CONSTRUCT))
     c.add_argument("--p", type=int)
     c.add_argument("--q", type=int)
     c.add_argument("--w", type=int)
@@ -376,32 +366,27 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--cap", type=_non_negative, default=DEFAULT_CODEWORD_CAP,
                    help=f"largest code to build, in codewords (default {DEFAULT_CODEWORD_CAP:,})")
     c.add_argument("--out", help="write the certificate JSON here instead of stdout")
-    c.add_argument("--json", action="store_true", help="output is JSON regardless")
 
-    v = sub.add_parser("verify", help="verify a code or certificate JSON file")
+    v = sub.add_parser("verify", parents=[js], help="verify a code or certificate JSON file")
     v.add_argument("file")
-    v.add_argument("--json", action="store_true")
 
-    s = sub.add_parser("search", help="exact oracle value of M^e(L, w)")
+    s = sub.add_parser("search", parents=[js], help="exact oracle value of M^e(L, w)")
     s.add_argument("L", type=int)
     s.add_argument("w", type=int)
     s.add_argument("--budget", type=_non_negative, default=DEFAULT_NODE_BUDGET,
                    help="search node budget")
     s.add_argument("--cap", type=_non_negative, help="override the desk-scale length cap")
-    s.add_argument("--json", action="store_true")
 
-    m = sub.add_parser("simulate", help="run a channel scenario JSON file")
+    m = sub.add_parser("simulate", parents=[js], help="run a channel scenario JSON file")
     m.add_argument("file")
     m.add_argument("--seed", type=int, help="override the scenario seed")
     m.add_argument("--trials", type=_non_negative, help="override the scenario trial count")
-    m.add_argument("--json", action="store_true")
 
-    g = sub.add_parser("catalog", help="maintain the certified-results catalog")
+    g = sub.add_parser("catalog", parents=[js], help="maintain the certified-results catalog")
     g.add_argument("action", choices=["update", "show", "check"])
     g.add_argument("files", nargs="*", help="result files to merge (update)")
     g.add_argument("--catalog",
                    help="catalog path (default: $CACFORGE_CATALOG or ./catalog.jsonl)")
-    g.add_argument("--json", action="store_true")
     return ap
 
 
@@ -418,9 +403,6 @@ def main(argv=None) -> int:
         return 4
     except CacError as e:
         _err(f"{type(e).__name__}: {e}")
-        return 3
-    except json.JSONDecodeError as e:
-        _err(f"parse error at line {e.lineno} column {e.colno}: {e.msg}")
         return 3
     except (OSError, ValueError) as e:
         _err(str(e))

@@ -136,6 +136,13 @@ def json_ints(values, name: str, what: str) -> list[int]:
     return values
 
 
+def json_str(value, name: str, what: str) -> str:
+    """value if it is a JSON string; anything else is a ParseError."""
+    if type(value) is not str:
+        raise ParseError(f"malformed {what} ({name} must be a string, got {value!r})")
+    return value
+
+
 def json_flag(value, name: str, what: str) -> bool | None:
     """A JSON true, false or null, returned as is; anything else is a ParseError."""
     if value is not None and type(value) is not bool:

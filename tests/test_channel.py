@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from itertools import combinations, product
 from math import gcd
 
@@ -31,7 +32,13 @@ from cacforge.constructions import (
     construct_theorem2,
     construct_two_prime,
 )
-from cacforge.errors import BudgetExceeded, DuplicateAssignment, NotACac, ParamMismatch
+from cacforge.errors import (
+    BudgetExceeded,
+    DuplicateAssignment,
+    NotACac,
+    ParamMismatch,
+    ParseError,
+)
 
 
 def test_protocol_sequence():
@@ -97,6 +104,30 @@ def test_simulate_rejects():
         simulate(Scenario(Code(9, 3, ()), trials=3))
     with pytest.raises(NotACac):
         simulate(Scenario(Code.from_generators(9, 3, [1, 4]), active=((0, 0),)))
+
+
+def test_scenario_is_explicit_or_sampled():
+    code = Code.from_generators(9, 3, [1, 3])
+    # an active set runs once: a trial count beside it is refused, not ignored
+    with pytest.raises(ParamMismatch, match="^an active set runs once; trials must be 0, got 50$"):
+        Scenario(code, active=((0, 1),), trials=50)
+    with pytest.raises(ValueError, match="^trials must be >= 0, got -5$"):
+        Scenario(code, trials=-5)
+    # a replaced field passes the same checks
+    explicit, sampled = Scenario(code, active=((0, 1),)), Scenario(code, trials=4)
+    with pytest.raises(ParamMismatch):
+        replace(explicit, trials=1)
+    with pytest.raises(ParamMismatch):
+        replace(sampled, active=((0, 1),))
+    with pytest.raises(DuplicateAssignment):
+        replace(explicit, active=((1, 0), (1, 2)))
+    assert simulate(replace(explicit, trials=0)).runs == 1
+    assert simulate(replace(sampled, trials=0)).runs == 0
+    with pytest.raises(ParseError, match="^trials must be >= 0, got -5$"):
+        scenario_from_json({"code": {"L": 9, "w": 3, "generators": [1, 3]}, "trials": -5})
+    with pytest.raises(ParamMismatch):
+        scenario_from_json({"code": {"L": 9, "w": 3, "generators": [1, 3]},
+                            "active": [{"idx": 0, "delay": 1}], "trials": 50})
 
 
 def test_simulate_mask_budget(monkeypatch):

@@ -511,8 +511,11 @@ def test_simulate_malformed_scenario(tmp_path, capsys, scenario):
     ("verify", {"L": 0, "w": 3, "generators": []}, "DegenerateCodeword"),
     ("simulate", {"code": _CODE_9_3, "active": [{"idx": 2, "delay": 0}]}, "ParamMismatch"),
     ("simulate", {"code": {"L": 9, "w": 3, "generators": []}, "trials": 3}, "ParamMismatch"),
+    ("simulate", {"code": _CODE_9_3, "active": [{"idx": 0, "delay": 1}], "trials": 50},
+     "ParamMismatch: an active set runs once; trials must be 0, got 50"),
     ("catalog", {"L": 0, "w": 3, "best_size": 0}, "ParseError"),
-], ids=["verify-L0", "simulate-index", "simulate-no-codewords", "catalog-L0"])
+], ids=["verify-L0", "simulate-index", "simulate-no-codewords", "simulate-active-and-trials",
+        "catalog-L0"])
 def test_out_of_range_inputs_exit_3(tmp_path, capsys, command, obj, error):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
@@ -535,6 +538,37 @@ def test_simulate_rejects_bad_trials_override(tmp_path, capsys, trials):
     err = capsys.readouterr().err
     assert "--trials" in err
     assert "Traceback" not in err
+
+
+def test_simulate_trials_override_keeps_the_scenario_contract(tmp_path, capsys):
+    # an explicit scenario runs once; --trials may not turn it into a sampled one
+    sc = tmp_path / "explicit.json"
+    sc.write_text(json.dumps({"code": _CODE_9_3, "active": [{"idx": 0, "delay": 1}]}))
+    rc, out, err = run(capsys, "simulate", str(sc), "--trials", "50", "--json")
+    assert (rc, out) == (3, "")
+    assert err == "cacforge: ParamMismatch: an active set runs once; trials must be 0, got 50\n"
+    rc, out, _ = run(capsys, "simulate", str(sc), "--trials", "0", "--json")
+    assert rc == 0 and json.loads(out)["runs"] == 1
+
+
+def test_parse_errors_name_the_file(tmp_path, capsys):
+    c5, c13 = _theorem2_inputs(tmp_path, capsys)
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"code":\n  {oops}}')
+    message = (f"cacforge: ParseError: parse error at {broken} line 2 column 4: "
+               f"Expecting property name enclosed in double quotes\n")
+    for argv in (["construct", "theorem2", "--cert1", c5, "--cert2", broken],
+                 ["catalog", "update", c13, broken, "--catalog", tmp_path / "c.jsonl"],
+                 ["verify", broken], ["simulate", broken]):
+        rc, out, err = run(capsys, *map(str, argv))
+        assert (rc, out, err) == (3, "", message), argv
+    assert not (tmp_path / "c.jsonl").exists()
+    # a JSONL catalog counts its lines the same way
+    cat = tmp_path / "broken.jsonl"
+    cat.write_text('{"L": 13, "w": 3, "best_size": 3, "source": "x"}\n\n{oops\n')
+    rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert (rc, err) == (3, f"cacforge: ParseError: parse error at {cat} line 3 column 2: "
+                            f"Expecting property name enclosed in double quotes\n")
 
 
 def test_catalog_flow(tmp_path, capsys, monkeypatch):
@@ -757,6 +791,62 @@ def test_catalog_integrity(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
 
 
+@pytest.mark.parametrize("entry", [
+    {"L": 13, "w": 3, "best_size": 1, "exact": True, "generators": [1], "source": "x"},
+    {"L": 13, "w": 3, "max": 1, "witness": [1], "exact": True},
+], ids=["native", "oracle"])
+def test_catalog_reproves_exact_claims_below_the_floor(tmp_path, capsys, entry):
+    # one codeword certifies best_size 1, but M^e(13, 3) = 3
+    path, cat = tmp_path / "entry.json", tmp_path / "c.jsonl"
+    path.write_text(json.dumps(entry))
+    message = ("cacforge: integrity error: (13,3) best_size 1 is claimed exact, "
+               "but the oracle finds M^e(13,3) = 3\n")
+    rc, _, err = run(capsys, "catalog", "update", str(path), "--catalog", str(cat))
+    assert (rc, err) == (3, message)
+    assert not cat.exists()
+    cat.write_text(json.dumps(entry) + "\n")
+    rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert (rc, err) == (3, message)
+    # the same entry without the claim is a plain lower bound
+    path.write_text(json.dumps(dict(entry, exact=False)))
+    cat.unlink()
+    assert run(capsys, "catalog", "update", str(path), "--catalog", str(cat))[0] == 0
+    assert run(capsys, "catalog", "check", "--catalog", str(cat))[0] == 0
+
+
+def test_catalog_reproves_after_the_cheap_checks(tmp_path, capsys):
+    cat = tmp_path / "c.jsonl"
+    false_claim = {"L": 13, "w": 3, "best_size": 1, "exact": True, "generators": [1],
+                   "source": "x"}
+    too_big = {"L": 15, "w": 3, "best_size": 99, "exact": False, "generators": [],
+               "source": "x"}
+    cat.write_text(json.dumps(false_claim) + "\n" + json.dumps(too_big) + "\n")
+    rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert rc == 3
+    assert "(15,3) best_size 99 exceeds bound floor" in err
+    # a claim beyond the oracle's length cap cannot be confirmed
+    cat.write_text(json.dumps(dict(false_claim, L=300, generators=[])) + "\n")
+    rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert rc == 3
+    assert err == ("cacforge: integrity error: (300,3) best_size 1 is claimed exact, but the "
+                   "oracle cannot reach it: L = 300 above cap 200 for w = 3; pass cap to "
+                   "override\n")
+
+
+def test_catalog_keeps_an_exact_search_below_the_floor(tmp_path, capsys):
+    # M^e(20, 3) = 4 against the floor 5: the oracle confirms the claim
+    assert exact_refund_floor(20, 3) == 5
+    result, cat = tmp_path / "or20.json", tmp_path / "c.jsonl"
+    rc, out, _ = run(capsys, "search", "20", "3", "--json")
+    assert rc == 0
+    result.write_text(out)
+    assert run(capsys, "catalog", "update", str(result), "--catalog", str(cat))[0] == 0
+    assert run(capsys, "catalog", "show", "--catalog", str(cat))[1] == (
+        "(20,3) best 4 exact=True source=oracle\n")
+    assert run(capsys, "catalog", "check", "--catalog", str(cat)) == (
+        0, f"catalog {cat}: ok, 1 entries\n", "")
+
+
 def test_no_command_usage():
     with pytest.raises(SystemExit):
         main([])
@@ -867,7 +957,8 @@ _CERT_5_3 = {
 _FUZZ_TEMPLATES = {
     "verify": [_CODE_13_3, {"code": _CODE_13_3}],
     "simulate": [{"code": _CODE_13_3, "active": [{"idx": 0, "delay": 1}, {"idx": 2, "delay": 5}],
-                  "seed": 1, "trials": 3}],
+                  "seed": 1},
+                 {"code": _CODE_13_3, "seed": 1, "trials": 3}],
     "theorem2": [_CERT_5_3],
     "catalog": [{"L": 13, "w": 3, "best_size": 3, "source": "x", "exact": True,
                  "generators": [1, 3, 4]},

@@ -275,9 +275,9 @@ def test_only_the_paper_reports_read_new_bound():
 
 def test_each_check_is_made_in_one_place():
     # one unit propagation per oracle branch, one clash message, one exact
-    # order test and one divisor scan
+    # order test, one divisor scan, one JSON reader and one string check
     package = Path(cacforge.__file__).parent
-    propagations, clashes, defined = [], [], []
+    propagations, clashes, defined, readers, strings = [], [], [], [], []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}  # node -> innermost enclosing function (ast.walk is breadth first)
@@ -294,9 +294,15 @@ def test_each_check_is_made_in_one_place():
                     propagations.append(site)
                 elif name == "NotACac":
                     clashes.append(site)
+                elif name == "loads":
+                    readers.append(site)
+            elif isinstance(node, ast.Constant) and "must be a string" in str(node.value):
+                strings.append(f"{path.stem}.{owner.get(node, '<module>')}")
     assert propagations == ["oracle._branch_cut"]
     assert sorted(clashes) == ["codes.require_cac", "oracle.max_equi_diff_cac"]
     assert sorted(defined) == ["numtheory._divisors_between", "numtheory._order_is"]
+    assert readers == ["cli._read_json"]
+    assert strings == ["errors.json_str"]
 
 
 @pytest.mark.parametrize("call, error, message", [

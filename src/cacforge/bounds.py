@@ -13,13 +13,12 @@ bound the package acts on; new_bound keeps the paper's report.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, gcd, prod
 
-from .errors import InconsistentClaim, ParseError, UnsupportedWeight, json_int, json_ints
+from .errors import InconsistentClaim, UnsupportedWeight
 from .numtheory import _divisors_between, factorize, is_prime
 
 
@@ -41,9 +40,6 @@ def omega_star(L: int, w: int) -> tuple[int, ...]:
     if any(gcd(a, b) != 1 for a, b in combinations(out, 2)):
         raise InconsistentClaim(f"omega_star not pairwise coprime at ({L},{w})")
     return out
-
-
-_JSON_INTEGER = re.compile(r"-?(0|[1-9][0-9]*)")  # the JSON grammar of an integer
 
 
 @dataclass(frozen=True)
@@ -76,28 +72,6 @@ class BoundReport:
             "raw": f"{self.raw_numerator}/{self.denominator}",
             "floor": self.floor_value,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoundReport":
-        what = "bound"
-        raw = obj["raw"]
-        halves = raw.split("/") if type(raw) is str else []
-        if len(halves) != 2 or not all(map(_JSON_INTEGER.fullmatch, halves)):
-            raise ParseError(f"malformed {what} (raw must be two integers joined by '/', "
-                             f"got {raw!r})")
-        num, den = map(int, halves)
-        if den <= 0:
-            raise ParseError(f"malformed {what} (raw denominator must be positive, got {raw!r})")
-        return cls(
-            L=json_int(obj["L"], "L", what),
-            w=json_int(obj["w"], "w", what),
-            omega=tuple(json_ints(obj["omega"], "omega", what)),
-            omega_star=tuple(json_ints(obj["omega_star"], "omega_star", what)),
-            excess=json_int(obj["excess"], "excess", what),
-            raw_numerator=num,
-            denominator=den,
-            floor_value=json_int(obj["floor"], "floor", what),
-        )
 
 
 def new_bound(L: int, w: int) -> BoundReport:

@@ -26,6 +26,7 @@ from .channel import scenario_from_json, simulate
 from .codes import (
     Certificate,
     Code,
+    _certificate_claims,
     code_from_json,
     verify_cac,
 )
@@ -134,9 +135,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     obj = _read_json(args.file)
-    if isinstance(obj, dict) and "code" in obj and "generators" not in obj:
-        obj = obj["code"]
-    code = code_from_json(obj)
+    certificate = isinstance(obj, dict) and "code" in obj and "generators" not in obj
+    code = Certificate.from_json(obj).code if certificate else code_from_json(obj)
     report = verify_cac(code)
     tight = report.ok and report.covered == code.length - 1
     floor = exact_refund_floor(code.length, code.weight)
@@ -218,30 +218,25 @@ def _normalize_entry(obj: dict) -> dict:
             L, w, size, gens = obj["L"], obj["w"], obj["max"], obj["witness"]
             source, exact = "oracle", bool(json_flag(obj.get("exact", False), "exact", what))
         elif "code" in obj:
-            code, flags = obj["code"], obj.get("flags", {})
+            code = obj["code"]
             L, w, size, gens = code["L"], code["w"], None, code["generators"]
-            source = json_str(obj.get("params", {}).get("method", "certificate"),
-                              "params.method", what)
-            # only the flag's type is read; its claim is decided below
-            json_flag(flags.get("optimal_by_bound"), "optimal_by_bound", what)
-            exact = bool(json_flag(flags.get("optimal_by_oracle"), "optimal_by_oracle", what))
         else:
             raise ParseError("unrecognized catalog entry shape")
     except (KeyError, TypeError, AttributeError) as e:
         raise ParseError(f"malformed catalog entry ({type(e).__name__}: {e})") from e
-    gens = json_ints(gens, "generators", what)
-    entry = {"L": json_int(L, "L", what), "w": json_int(w, "w", what),
-             "best_size": len(gens) if size is None else json_int(size, "best_size", what),
-             "source": source, "exact": exact, "generators": gens}
-    if entry["L"] < 2 or entry["w"] < 2:
-        raise ParseError(f"malformed catalog entry (need L >= 2 and w >= 2, "
-                         f"got ({entry['L']},{entry['w']}))")
-    if entry["best_size"] < 0:
-        raise ParseError(f"malformed catalog entry (best_size {entry['best_size']} "
-                         f"is negative)")
+    L, w, gens = json_int(L, "L", what), json_int(w, "w", what), json_ints(gens, "generators", what)
+    if L < 2 or w < 2:
+        raise ParseError(f"malformed catalog entry (need L >= 2 and w >= 2, got ({L},{w}))")
     if size is None:  # a certificate: optimal by bound as every gate decides it
-        entry["exact"] = exact or len(gens) == exact_refund_floor(entry["L"], entry["w"])
-    return entry
+        _, flags, params, _ = _certificate_claims(obj, L, w)
+        size = len(gens)
+        source = json_str(params.get("method", "certificate"), "params.method", what)
+        exact = bool(flags.optimal_by_oracle) or size == exact_refund_floor(L, w)
+    size = json_int(size, "best_size", what)
+    if size < 0:
+        raise ParseError(f"malformed catalog entry (best_size {size} is negative)")
+    return {"L": L, "w": w, "best_size": size, "source": source, "exact": exact,
+            "generators": gens}
 
 
 def _load_catalog(path: str) -> dict:
@@ -301,6 +296,9 @@ def cmd_catalog(args) -> int:
     update = args.action == "update"
     if update and not args.files:
         _err("catalog update requires at least one result file")
+        return 2
+    if args.files and not update:
+        _err(f"catalog {args.action} takes no result files, got {args.files[0]}")
         return 2
     entries = _load_catalog(path)
     if args.action == "show":

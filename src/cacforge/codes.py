@@ -9,11 +9,12 @@ residue.
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import gcd
 
-from .bounds import BoundReport
+from .bounds import BoundReport, new_bound
 from .errors import (
     DegenerateCodeword,
     HeterogeneousCode,
@@ -249,23 +250,40 @@ class Certificate:
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
         try:
-            f = obj["flags"]
-            oracle_max = obj.get("oracle_max")
-            params = obj.get("params", {})
-            if type(params) is not dict:
-                raise ParseError(f"malformed certificate (params must be an object, "
-                                 f"got {params!r})")
-            return cls(
-                code=code_from_json(obj["code"]),
-                bound=BoundReport.from_json(obj["bound"]),
-                flags=CertFlags(
-                    *(bool(json_flag(f[k], k, "certificate"))
-                      for k in ("verified_cac", "tight", "optimal_by_bound")),
-                    json_flag(f.get("optimal_by_oracle"), "optimal_by_oracle", "certificate"),
-                ),
-                params=dict(params),
-                oracle_max=(None if oracle_max is None
-                            else json_int(oracle_max, "oracle_max", "certificate")),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
+            code = code_from_json(obj["code"])
+        except (KeyError, TypeError) as e:
             raise ParseError(f"malformed certificate ({type(e).__name__}: {e})") from e
+        return cls(code, *_certificate_claims(obj, code.length, code.weight))
+
+
+def _certificate_claims(
+    obj: dict, L: int, w: int
+) -> tuple[BoundReport, CertFlags, dict, int | None]:
+    """The bound, flags, params and oracle_max of the certificate obj whose
+    code is (L, w). The bound must be new_bound(L, w), equal as canonical
+    JSON text, so 1.0, true and "1" are refused where an integer belongs;
+    the flags are claims of the right type that each gate decides anew."""
+    try:
+        bound, f = obj["bound"], obj["flags"]
+        if type(bound) is not dict:
+            raise ParseError(f"malformed certificate (bound must be an object, got {bound!r})")
+        report = new_bound(L, w)
+        got = {k: json.dumps(v, sort_keys=True) for k, v in bound.items()}
+        want = {k: json.dumps(v) for k, v in report.to_json().items()}
+        if got != want:
+            key = next(k for k in sorted({*got, *want}) if got.get(k) != want.get(k))
+            raise ParseError(f"malformed certificate (bound {key} must be "
+                             f"{want.get(key, 'absent')} for a ({L},{w}) code, "
+                             f"got {got.get(key, 'absent')})")
+        params, oracle_max = obj.get("params", {}), obj.get("oracle_max")
+        if type(params) is not dict:
+            raise ParseError(f"malformed certificate (params must be an object, got {params!r})")
+        flags = CertFlags(
+            *(bool(json_flag(f[k], k, "certificate"))
+              for k in ("verified_cac", "tight", "optimal_by_bound")),
+            json_flag(f.get("optimal_by_oracle"), "optimal_by_oracle", "certificate"),
+        )
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ParseError(f"malformed certificate ({type(e).__name__}: {e})") from e
+    return report, flags, dict(params), (
+        None if oracle_max is None else json_int(oracle_max, "oracle_max", "certificate"))

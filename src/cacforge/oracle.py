@@ -413,7 +413,7 @@ def max_equi_diff_cac(
     if cap < 0:
         raise ValueError(f"length cap must be >= 0, got {cap}")
     if L > cap:
-        raise BudgetExceeded(f"L = {L} above cap {cap} for w = {w}; pass cap to override")
+        raise BudgetExceeded(f"L = {L} above cap {cap} for w = {w}")
     graph = build_graph(L, w)
     try:
         size, members, nodes = _max_clique(

@@ -1,13 +1,13 @@
 import json
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from cacforge.bounds import (
-    BoundReport,
     _best_coprime_subset,
     _subset_pool,
     coprime_excess_exact,
@@ -19,6 +19,7 @@ from cacforge.bounds import (
     prime_divisor_bound,
     subset_excess_bound,
 )
+from cacforge.codes import Certificate
 from cacforge.errors import InconsistentClaim, ParseError, UnsupportedWeight
 
 
@@ -91,13 +92,22 @@ def test_new_bound_report_shape(rng):
         assert all(L % p == 0 and w <= p < 2 * w - 1 for p in r.omega)
 
 
+def _certificate_json(L, w, bound):
+    """A certificate of the empty (L, w) code that carries the given bound report."""
+    flags = {"verified_cac": True, "tight": False, "optimal_by_bound": False,
+             "optimal_by_oracle": None}
+    return {"code": {"L": L, "w": w, "generators": []}, "bound": bound, "flags": flags}
+
+
 def test_bound_report_json_roundtrip():
     r = new_bound(252, 8)
-    back = BoundReport.from_json(json.loads(json.dumps(r.to_json())))
-    assert back == r
+    back = Certificate.from_json(_certificate_json(252, 8, json.loads(json.dumps(r.to_json()))))
+    assert back.bound == r
     edited = dict(r.to_json(), floor=99)
-    with pytest.raises(InconsistentClaim):
-        BoundReport.from_json(edited)
+    with pytest.raises(ParseError, match=r"bound floor must be 18 for a \(252,8\) code, got 99"):
+        Certificate.from_json(_certificate_json(252, 8, edited))
+    with pytest.raises(InconsistentClaim, match=r"floor 99 is not floor\(257/14\)"):
+        replace(r, floor_value=99)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -106,9 +116,13 @@ def test_bound_report_json_roundtrip():
 ])
 def test_bound_report_json_takes_integers_only(field, value):
     # a p = 5 lemma-1 bound; int() once read 1.9 and "0" as 1 and 0
-    obj = dict(new_bound(5, 3).to_json(), **{field: value})
-    with pytest.raises(ParseError, match=f"malformed bound \\({field}"):
-        BoundReport.from_json(obj)
+    want = new_bound(5, 3).to_json()
+    obj = _certificate_json(5, 3, dict(want, **{field: value}))
+    with pytest.raises(ParseError) as ei:
+        Certificate.from_json(obj)
+    assert str(ei.value) == (f"malformed certificate (bound {field} must be "
+                             f"{json.dumps(want[field])} for a (5,3) code, "
+                             f"got {json.dumps(value)})")
 
 
 def test_corollary1():

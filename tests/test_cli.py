@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cacforge.cli as cli
-from cacforge.bounds import exact_refund_floor
+from cacforge.bounds import exact_refund_floor, new_bound
 from cacforge.channel import SimReport
 from cacforge.cli import _build_parser, main
 from cacforge.codes import (
@@ -340,7 +340,8 @@ def test_theorem2_rejects_edited_floor(tmp_path, capsys, optimize):
     proc = subprocess.run(cmd, capture_output=True, text=True, env=subprocess_env(),
                           timeout=60)
     assert proc.returncode == 3
-    assert "InconsistentClaim" in proc.stderr
+    assert ("ParseError: malformed certificate (bound floor must be 1 for a (5,3) code, "
+            "got 99)") in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
@@ -639,7 +640,10 @@ def test_catalog_decides_a_certificate_bound_claim_by_the_floor(tmp_path, capsys
     # one codeword at (13, 3) flagged optimal by bound, where the floor and
     # the maximum are 3: the entry is not exact, and check passes on it
     cat, cert = tmp_path / "cat.jsonl", tmp_path / "cert.json"
-    claim = {"code": {"L": 13, "w": 3, "generators": [1]}, "flags": {"optimal_by_bound": True}}
+    flags = {"verified_cac": True, "tight": False, "optimal_by_bound": True,
+             "optimal_by_oracle": None}
+    claim = {"code": {"L": 13, "w": 3, "generators": [1]},
+             "bound": new_bound(13, 3).to_json(), "flags": flags}
     cert.write_text(json.dumps(claim))
     assert run(capsys, "catalog", "update", str(cert), "--catalog", str(cat))[0] == 0
     assert run(capsys, "catalog", "show", "--catalog", str(cat))[1] == (
@@ -647,17 +651,32 @@ def test_catalog_decides_a_certificate_bound_claim_by_the_floor(tmp_path, capsys
     assert run(capsys, "catalog", "check", "--catalog", str(cat))[0] == 0
     assert exact_refund_floor(13, 3) == 3
     # a code that meets the floor is exact whatever its flag says
-    claim = {"code": {"L": 13, "w": 3, "generators": [1, 3, 4]},
-             "flags": {"optimal_by_bound": False}}
+    claim = dict(claim, code=_CODE_13_3, flags=dict(flags, tight=True, optimal_by_bound=False))
     cert.write_text(json.dumps(claim))
     assert run(capsys, "catalog", "update", str(cert), "--catalog", str(cat))[0] == 0
     assert run(capsys, "catalog", "show", "--catalog", str(cat))[1] == (
         "(13,3) best 3 exact=True source=certificate\n")
     # and the flag's type is still checked
-    cert.write_text(json.dumps(dict(claim, flags={"optimal_by_bound": "yes"})))
+    cert.write_text(json.dumps(dict(claim, flags=dict(flags, optimal_by_bound="yes"))))
     rc, _, err = run(capsys, "catalog", "update", str(cert), "--catalog", str(cat))
     assert rc == 3
     assert "optimal_by_bound must be true, false or null" in err
+    # a partial certificate, with no bound report, is refused
+    cert.write_text(json.dumps({"code": _CODE_13_3, "flags": {"optimal_by_bound": False}}))
+    before = cat.read_bytes()
+    rc, _, err = run(capsys, "catalog", "update", str(cert), "--catalog", str(cat))
+    assert (rc, err) == (3, "cacforge: ParseError: malformed certificate (KeyError: 'bound')\n")
+    assert cat.read_bytes() == before
+
+
+@pytest.mark.parametrize("action", ["check", "show"])
+def test_catalog_check_and_show_refuse_result_files(tmp_path, capsys, action):
+    # only update merges result files; check and show once ignored them
+    missing, cat = tmp_path / "missing.json", tmp_path / "none.jsonl"
+    rc, out, err = run(capsys, "catalog", action, str(missing), "--catalog", str(cat))
+    assert (rc, out) == (2, "")
+    assert err == f"cacforge: catalog {action} takes no result files, got {missing}\n"
+    assert not cat.exists()
 
 
 def test_catalog_update_requires_files(capsys):
@@ -829,8 +848,7 @@ def test_catalog_reproves_after_the_cheap_checks(tmp_path, capsys):
     rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
     assert rc == 3
     assert err == ("cacforge: integrity error: (300,3) best_size 1 is claimed exact, but the "
-                   "oracle cannot reach it: L = 300 above cap 200 for w = 3; pass cap to "
-                   "override\n")
+                   "oracle cannot reach it: L = 300 above cap 200 for w = 3\n")
 
 
 def test_catalog_keeps_an_exact_search_below_the_floor(tmp_path, capsys):
@@ -939,11 +957,22 @@ def test_json_number_overflow_is_a_parse_error(tmp_path, capsys, command):
     rc, out, err = run(capsys, *argv)
     assert rc == 3
     assert "ParseError" in err
-    assert "must be an integer, got inf" in err
+    # theorem2's edited L is the bound report's, which must equal new_bound(5, 3)'s
+    assert ("bound L must be 5 for a (5,3) code, got Infinity" if command == "theorem2"
+            else "must be an integer, got inf") in err
     assert "Traceback" not in out + err
 
 
 _CODE_13_3 = {"L": 13, "w": 3, "generators": [1, 3, 4]}
+_CERT_13_3 = {
+    "code": _CODE_13_3,
+    "bound": {"L": 13, "w": 3, "omega": [], "omega_star": [], "excess": 0, "raw": "12/4",
+              "floor": 3},
+    "flags": {"verified_cac": True, "tight": True, "optimal_by_bound": True,
+              "optimal_by_oracle": None},
+    "params": {"method": "lemma1", "p": 13, "w": 3, "m": 3, "alpha": 2},
+    "oracle_max": None,
+}
 _CERT_5_3 = {
     "code": {"L": 5, "w": 3, "generators": [1]},
     "bound": {"L": 5, "w": 3, "omega": [], "omega_star": [], "excess": 0, "raw": "4/4",
@@ -955,7 +984,7 @@ _CERT_5_3 = {
 }
 # valid inputs of each command; the fuzzer keeps, drops or replaces each of their parts
 _FUZZ_TEMPLATES = {
-    "verify": [_CODE_13_3, {"code": _CODE_13_3}],
+    "verify": [_CODE_13_3, _CERT_13_3],
     "simulate": [{"code": _CODE_13_3, "active": [{"idx": 0, "delay": 1}, {"idx": 2, "delay": 5}],
                   "seed": 1},
                  {"code": _CODE_13_3, "seed": 1, "trials": 3}],
@@ -1124,16 +1153,13 @@ def test_simulate_takes_json_integers_only(tmp_path, capsys, field, bad):
 def test_theorem2_takes_json_integers_only_in_the_bound(tmp_path, capsys, field, bad):
     c5, c13 = _theorem2_inputs(tmp_path, capsys)
     obj = json.loads(c5.read_text())
-    if field in ("omega", "omega_star"):
-        obj["bound"][field] = [bad]
-        name = f"{field} must be integers"
-    else:
-        obj["bound"][field] = bad
-        name = f"{field} must be an integer"
+    want = json.dumps(obj["bound"][field])
+    obj["bound"][field] = [bad] if field in ("omega", "omega_star") else bad
     c5.write_text(json.dumps(obj))
     rc, out, err = run(capsys, "construct", "theorem2", "--cert1", str(c5), "--cert2", str(c13))
     assert rc == 3
-    assert f"ParseError: malformed bound ({name}, got {bad!r})" in err
+    assert (f"ParseError: malformed certificate (bound {field} must be {want} for a (5,3) code, "
+            f"got {json.dumps(obj['bound'][field])})") in err
     assert "Traceback" not in out + err
 
 
@@ -1147,7 +1173,8 @@ def test_theorem2_takes_json_integers_only_in_the_raw_bound(tmp_path, capsys, ra
     c5.write_text(json.dumps(obj))
     rc, out, err = run(capsys, "construct", "theorem2", "--cert1", str(c5), "--cert2", str(c13))
     assert rc == 3
-    assert f"ParseError: malformed bound (raw must be two integers joined by '/', got {raw!r})" in err
+    assert (f'ParseError: malformed certificate (bound raw must be "4/4" for a (5,3) code, '
+            f'got {json.dumps(raw)})') in err
     assert "Traceback" not in out + err
 
 
@@ -1156,7 +1183,8 @@ def test_theorem2_rejects_a_zero_bound_denominator(tmp_path, capsys):
     c5.write_text(c5.read_text().replace('"4/4"', '"4/0"'))
     rc, out, err = run(capsys, "construct", "theorem2", "--cert1", str(c5), "--cert2", str(c13))
     assert rc == 3
-    assert "ParseError: malformed bound (raw denominator must be positive, got '4/0')" in err
+    assert ('ParseError: malformed certificate (bound raw must be "4/4" for a (5,3) code, '
+            'got "4/0")') in err
     assert "Traceback" not in out + err
 
 
@@ -1165,3 +1193,43 @@ def test_theorem2_reads_well_formed_certificates_unchanged(tmp_path, capsys):
     for path in (c5, c13):
         obj = json.loads(path.read_text())
         assert Certificate.from_json(obj).to_json() == obj
+
+
+# one edit each to the (13, 3) lemma-1 certificate, and the claim every reader refuses
+_BAD_CERTIFICATES = {
+    "bound-of-919-4": (lambda c: c.update(bound=new_bound(919, 4).to_json()),
+                       "bound L must be 13 for a (13,3) code, got 919"),
+    "tight-no": (lambda c: c["flags"].update(tight="no"),
+                 "tight must be true, false or null, got 'no'"),
+    "raw-x": (lambda c: c["bound"].update(raw="x"),
+              'bound raw must be "12/4" for a (13,3) code, got "x"'),
+    "floor-1.0": (lambda c: c["bound"].update(floor=1.0),
+                  "bound floor must be 3 for a (13,3) code, got 1.0"),
+    "floor-3.0": (lambda c: c["bound"].update(floor=3.0),
+                  "bound floor must be 3 for a (13,3) code, got 3.0"),
+    "no-bound": (lambda c: c.pop("bound"), "KeyError: 'bound'"),
+    "no-flags": (lambda c: c.pop("flags"), "KeyError: 'flags'"),
+    "code-alone": (lambda c: [c.pop(k) for k in ("bound", "flags", "params", "oracle_max")],
+                   "KeyError: 'bound'"),
+}
+
+
+@pytest.mark.parametrize("edit, message", _BAD_CERTIFICATES.values(), ids=_BAD_CERTIFICATES)
+def test_every_certificate_reader_refuses_the_same_claims(tmp_path, capsys, edit, message):
+    c5, _ = _theorem2_inputs(tmp_path, capsys)
+    good, bad, cat = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "c.jsonl"
+    good.write_text(json.dumps(_CERT_13_3))
+    assert run(capsys, "verify", str(good))[0] == 0
+    obj = json.loads(json.dumps(_CERT_13_3))
+    edit(obj)
+    bad.write_text(json.dumps(obj))
+    cat.write_text(json.dumps({"L": 15, "w": 3, "best_size": 4, "source": "x", "exact": True,
+                               "generators": [1, 3, 4, 5]}) + "\n")
+    before = cat.read_bytes()
+    for argv in (["construct", "theorem2", "--cert1", bad, "--cert2", c5],
+                 ["verify", bad, "--json"],
+                 ["catalog", "update", bad, "--catalog", cat]):
+        rc, out, err = run(capsys, *map(str, argv))
+        assert (rc, out, err) == (
+            3, "", f"cacforge: ParseError: malformed certificate ({message})\n"), argv
+    assert cat.read_bytes() == before

@@ -162,13 +162,16 @@ for build in (lambda: construct_lemma1(17, 3),
     except SdrConditionFailed as e:
         print("SdrConditionFailed:", e, sorted(e.coset))
 import json
+from cacforge.bounds import new_bound
 from cacforge.cli import _normalize_entry
 from cacforge.codes import Certificate, code_from_json
 from cacforge.errors import ParseError
 cert = json.loads(json.dumps(construct_lemma1(13, 3).to_json()))
+moved = dict(cert, bound=new_bound(919, 4).to_json())
 cert["flags"]["tight"] = "no"
 for parse, obj in ((code_from_json, {"L": 13.5, "w": 3, "generators": [1]}),
                    (Certificate.from_json, cert),
+                   (Certificate.from_json, moved),
                    (_normalize_entry, {"L": 13, "w": 3, "best_size": 3, "source": {"a": [1]}})):
     try:
         parse(obj)
@@ -192,6 +195,7 @@ def test_subgroup_order_and_difference_set_checks_survive_python_O(optimize):
         "[9, 12, 16, 21, 25, 28]",
         "ParseError: malformed code (L must be an integer, got 13.5)",
         "ParseError: malformed certificate (tight must be true, false or null, got 'no')",
+        "ParseError: malformed certificate (bound L must be 13 for a (13,3) code, got 919)",
         "ParseError: malformed catalog entry (source must be a string, got {'a': [1]})",
     ]
 
@@ -270,14 +274,16 @@ def test_only_the_paper_reports_read_new_bound():
         for node in ast.walk(tree):
             if getattr(node, "id", getattr(node, "attr", None)) == "new_bound":
                 readers.append(f"{path.stem}.{owner.get(node, '<module>')}")
-    assert sorted(readers) == ["cli.cmd_bound", "constructions._certificate"]
+    assert sorted(readers) == ["cli.cmd_bound", "codes._certificate_claims",
+                               "constructions._certificate"]
 
 
 def test_each_check_is_made_in_one_place():
     # one unit propagation per oracle branch, one clash message, one exact
-    # order test, one divisor scan, one JSON reader and one string check
+    # order test, one divisor scan, one JSON reader, one string check and
+    # one reader of a certificate's claims
     package = Path(cacforge.__file__).parent
-    propagations, clashes, defined, readers, strings = [], [], [], [], []
+    propagations, clashes, defined, readers, strings, claims = [], [], [], [], [], []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}  # node -> innermost enclosing function (ast.walk is breadth first)
@@ -298,11 +304,18 @@ def test_each_check_is_made_in_one_place():
                     readers.append(site)
             elif isinstance(node, ast.Constant) and "must be a string" in str(node.value):
                 strings.append(f"{path.stem}.{owner.get(node, '<module>')}")
+            # obj["bound"], obj["flags"], obj.get("bound") or obj.get("flags")
+            key = (node.slice if isinstance(node, ast.Subscript) else
+                   node.args[0] if isinstance(node, ast.Call) and node.args
+                   and getattr(node.func, "attr", None) == "get" else None)
+            if isinstance(key, ast.Constant) and key.value in ("bound", "flags"):
+                claims.append(f"{path.stem}.{owner.get(node, '<module>')}")
     assert propagations == ["oracle._branch_cut"]
     assert sorted(clashes) == ["codes.require_cac", "oracle.max_equi_diff_cac"]
     assert sorted(defined) == ["numtheory._divisors_between", "numtheory._order_is"]
     assert readers == ["cli._read_json"]
     assert strings == ["errors.json_str"]
+    assert set(claims) == {"codes._certificate_claims"}
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -12,9 +12,9 @@ Sequences are stored as L-bit integers; slot t is bit t.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import ceil, log
+from random import Random
 
 from .codes import Code, EquiDiffCodeword, code_from_json, require_cac, support
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
 )
 
 EXHAUSTIVE_BUDGET = 5_000_000
-# bits simulate may spend on its L-bit masks, one per codeword plus the full mask
+# bits simulate may spend on its L-bit masks, two per codeword (kept doubled) plus the full mask
 MASK_BITS_BUDGET = 2 ** 30
 
 
@@ -134,37 +134,6 @@ def _run_once(on_air: list[int]) -> list[int]:
     return [(m & alone).bit_count() for m in on_air]
 
 
-def _below(bits, n: int) -> int:
-    # random.Random._randbelow_with_getrandbits: uniform in [0, n), n > 0
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _sample(bits, n: int, k: int) -> list[int]:
-    # random.Random.sample(range(n), k), draw for draw: a pool of the
-    # unpicked when n is below sample's set-size threshold, else redraws
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** ceil(log(k * 3, 4))
-    picked = []
-    if n <= setsize:
-        pool = list(range(n))
-        for i in range(k):
-            j = _below(bits, n - i)
-            picked.append(pool[j])
-            pool[j] = pool[n - i - 1]
-    else:
-        for _ in range(k):
-            j = _below(bits, n)
-            while j in picked:
-                j = _below(bits, n)
-            picked.append(j)
-    return picked
-
-
 def simulate(sc: Scenario) -> SimReport:
     """Run the scenario's explicit active set, or seeded random trials.
 
@@ -172,44 +141,73 @@ def simulate(sc: Scenario) -> SimReport:
     pairs. Sampling mode (empty active, trials > 0): trial t draws from
     random.Random(f"{seed}:{t}") exactly what k = randint(1, min(w, n)),
     users = sample(range(n), k) and then one randrange(L) delay per user,
-    in pick order, would draw; the draws are made from getrandbits
-    directly. per_user aggregates success-slot counts by codeword index;
-    a violation records any run that left some user at zero. n + 1 masks of
-    L bits above MASK_BITS_BUDGET raise BudgetExceeded before any is built.
+    in pick order, would draw, straight from getrandbits with random's own
+    rejection loops. per_user aggregates success-slot counts by codeword
+    index; a violation records any run that left some user at zero. 2n + 1
+    masks of L bits (each codeword doubled, and the full mask) above
+    MASK_BITS_BUDGET raise BudgetExceeded before any is built.
     """
     code = sc.code
     require_cac(code)
-    L = code.length
-    if (len(code) + 1) * L > MASK_BITS_BUDGET:
-        raise BudgetExceeded(f"{len(code) + 1} masks of {L} bits exceed {MASK_BITS_BUDGET}")
+    n, L = len(code), code.length
+    if (2 * n + 1) * L > MASK_BITS_BUDGET:
+        raise BudgetExceeded(f"{2 * n + 1} masks of {L} bits exceed {MASK_BITS_BUDGET}")
     full = (1 << L) - 1
-    masks = [to_protocol_sequence(cw).mask for cw in code.codewords]
+    # delay d moves slot t to t + d mod L: the doubled mask shifted right by L - d
+    doubled = [m | m << L for m in (to_protocol_sequence(cw).mask for cw in code.codewords)]
 
     if sc.active:
-        counts = _run_once([_rot(masks[i], -d, L, full) for i, d in sc.active])
-        per_user = {i: c for (i, _), c in zip(sc.active, counts)}
-        violations = []
-        if 0 in counts:
-            violations.append({"active": [[i, d % L] for i, d in sc.active]})
-        return SimReport(per_user, tuple(violations), 1, sc.seed)
+        counts = _run_once([doubled[i] >> L - d % L & full for i, d in sc.active])
+        violations = ({"active": [[i, d % L] for i, d in sc.active]},) if 0 in counts else ()
+        return SimReport(dict(zip((i for i, _ in sc.active), counts)), violations, 1, sc.seed)
 
-    n = len(code)
-    per_user = {i: 0 for i in range(n)}
-    violations = []
-    rng = random.Random()
-    bits = rng.getrandbits
+    totals, violations, rng = [0] * n, [], Random()
+    reseed, bits, prefix = rng.seed, rng.getrandbits, f"{sc.seed}:"
     most = min(code.weight, n)
+    most_bits, n_bits, L_bits = most.bit_length(), n.bit_length(), L.bit_length()
+    # per k: does sample(range(n), k) pick from a pool (else it redraws repeats)?
+    pooled = [n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0) for k in range(most + 1)]
     for t in range(sc.trials):
         # re-seeding gives the state of a fresh random.Random(f"{seed}:{t}")
-        rng.seed(f"{sc.seed}:{t}")
-        chosen = _sample(bits, n, 1 + _below(bits, most))
-        active = [(i, _below(bits, L)) for i in chosen]
-        counts = _run_once([_rot(masks[i], -d, L, full) for i, d in active])
-        for (i, _), c in zip(active, counts):
-            per_user[i] += c
-        if 0 in counts:
-            violations.append({"trial": t, "active": [[i, d] for i, d in active]})
-    return SimReport(per_user, tuple(violations), sc.trials, sc.seed)
+        reseed(f"{prefix}{t}")
+        k = bits(most_bits)
+        while k >= most:
+            k = bits(most_bits)
+        k += 1
+        picked = []
+        if pooled[k]:
+            pool = list(range(n))
+            for left in range(n, n - k, -1):
+                j = bits(left.bit_length())
+                while j >= left:
+                    j = bits(left.bit_length())
+                picked.append(pool[j])
+                pool[j] = pool[left - 1]
+        else:
+            for _ in range(k):
+                j = bits(n_bits)
+                while j >= n or j in picked:
+                    j = bits(n_bits)
+                picked.append(j)
+        # one randrange(L) delay per pick, counted as _run_once counts
+        delays, on_air, once, twice = [], [], 0, 0
+        for i in picked:
+            d = bits(L_bits)
+            while d >= L:
+                d = bits(L_bits)
+            m = doubled[i] >> L - d & full
+            delays.append(d)
+            on_air.append(m)
+            twice |= once & m
+            once |= m
+        alone, starved = once & ~twice, False
+        for i, m in zip(picked, on_air):
+            c = (m & alone).bit_count()
+            totals[i] += c
+            starved = starved or not c
+        if starved:
+            violations.append({"trial": t, "active": [[i, d] for i, d in zip(picked, delays)]})
+    return SimReport(dict(enumerate(totals)), tuple(violations), sc.trials, sc.seed)
 
 
 def verify_irrepressibility_exhaustive(code: Code, k: int) -> bool:

@@ -89,7 +89,7 @@ def cmd_bound(args) -> int:
 
 def _read_json(path: str, jsonl: bool = False):
     """The JSON value in the file at path, or with jsonl the values on its
-    non-blank lines. A syntax error is a ParseError naming file, line and column."""
+    non-blank lines. Bad syntax or too deep a nesting is a ParseError naming file and line."""
     text = Path(path).read_text()
     docs = ([(n, t) for n, t in enumerate(text.splitlines(), 1) if t.strip()]
             if jsonl else [(1, text)])
@@ -100,6 +100,8 @@ def _read_json(path: str, jsonl: bool = False):
         except json.JSONDecodeError as e:
             raise ParseError(f"parse error at {path} line {first + e.lineno - 1} "
                              f"column {e.colno}: {e.msg}") from e
+        except RecursionError as e:
+            raise ParseError(f"parse error at {path}: value at line {first} nested too deep") from e
     return values if jsonl else values[0]
 
 

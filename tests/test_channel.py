@@ -14,10 +14,8 @@ from cacforge.channel import (
     MASK_BITS_BUDGET,
     ProtocolSequence,
     Scenario,
-    _below,
     _rot,
     _run_once,
-    _sample,
     cross_correlation,
     scenario_from_json,
     simulate,
@@ -133,18 +131,18 @@ def test_scenario_is_explicit_or_sampled():
 def test_simulate_mask_budget(monkeypatch):
     code = Code.from_generators(9, 3, [1, 3])
     explicit, sampled = Scenario(code, active=((0, 0), (1, 3))), Scenario(code, trials=5)
-    # two codewords and the full mask: 3 masks of 9 bits
-    monkeypatch.setattr(channel, "MASK_BITS_BUDGET", 27)
+    # two codewords, each doubled, and the full mask: 5 masks of 9 bits
+    monkeypatch.setattr(channel, "MASK_BITS_BUDGET", 45)
     assert simulate(explicit).per_user == {0: 2, 1: 2}
     assert simulate(sampled).runs == 5
 
     def built(cw):
         raise AssertionError("a refused scenario must refuse before it builds a mask")
 
-    monkeypatch.setattr(channel, "MASK_BITS_BUDGET", 26)
+    monkeypatch.setattr(channel, "MASK_BITS_BUDGET", 44)
     monkeypatch.setattr(channel, "to_protocol_sequence", built)
     for sc in (explicit, sampled):
-        with pytest.raises(BudgetExceeded, match="^3 masks of 9 bits exceed 26$"):
+        with pytest.raises(BudgetExceeded, match="^5 masks of 9 bits exceed 44$"):
             simulate(sc)
     assert MASK_BITS_BUDGET == 2 ** 30
 
@@ -181,45 +179,104 @@ def test_simulate_sampling_deterministic():
     assert c.to_json() != a.to_json()
 
 
+class _Recording(random.Random):
+    """A Random that logs its getrandbits calls, one (seed, log) per seeding."""
+
+    seedings = []
+
+    def seed(self, a=None, version=2):
+        self.log = []
+        self.seedings.append((a, self.log))
+        super().seed(a, version)
+
+    def getrandbits(self, k):
+        bits = super().getrandbits(k)
+        self.log.append((k, bits))
+        return bits
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_draws_match_random_draw_for_draw(seed):
-    # _sample and _below replay this interpreter's sample(range(n), k),
-    # randint and randrange: n spans sample's pool/set switch at 21/22
-    # (k <= 5) and 85/86 (k = 6..9), and (277, 22)/(278, 22) one step up
-    cases = [(n, k) for n in range(1, 101) for k in range(1, min(n, 9) + 1)]
-    for n, k in cases + [(277, 22), (278, 22)]:
-        ours, twin = random.Random(f"{seed}:{n}:{k}"), random.Random(f"{seed}:{n}:{k}")
-        bits = ours.getrandbits
-        assert 1 + _below(bits, k) == twin.randint(1, k)
-        assert _sample(bits, n, k) == twin.sample(range(n), k)
-        assert _below(bits, n) == twin.randrange(n)
-        # the generators are still in step
-        assert ours.getrandbits(32) == twin.getrandbits(32)
+def test_draws_match_random_draw_for_draw(monkeypatch, seed):
+    # each trial of simulate calls getrandbits exactly as random's own
+    # randint(1, min(w, n)), sample(range(n), k) and one randrange(L) per
+    # pick do on a fresh Random(f"{seed}:{t}"): n spans sample's pool/set
+    # switch at 21/22 (k <= 5) and 85/86 (k = 6..9), and 277/278 at k = 22
+    monkeypatch.setattr(channel, "Random", _Recording)
+    monkeypatch.setattr(channel, "require_cac", lambda code: None)
+    drawn = {}  # n -> the k drawn
+    for L, w, n in [(101, 9, n) for n in range(1, 101)] + [(281, 22, 277), (281, 22, 278)]:
+        _Recording.seedings.clear()
+        simulate(Scenario(Code.from_generators(L, w, range(1, n + 1)), seed=seed, trials=120))
+        trials = _Recording.seedings[1:]  # the first seeding is Random()'s own
+        assert [a for a, _ in trials] == [f"{seed}:{t}" for t in range(120)]
+        for a, log in trials:
+            twin, plain = _Recording(a), random.Random(a)
+            k = twin.randint(1, min(w, n))
+            picked = twin.sample(range(n), k)
+            delays = [twin.randrange(L) for _ in picked]
+            assert log == twin.log, (n, a)
+            # recording leaves random's draws as they are
+            assert (plain.randint(1, min(w, n)), plain.sample(range(n), k)) == (k, picked)
+            assert [plain.randrange(L) for _ in picked] == delays
+            drawn.setdefault(n, set()).add(k)
+    assert all(drawn[n] == set(range(1, 10)) for n in (21, 22, 85, 86))
+    assert all(22 in drawn[n] for n in (277, 278))
 
 
-@pytest.mark.parametrize("L, generators", [(7, [1, 2, 3]), (13, list(range(1, 13)) * 2)],
-                         ids=["pool", "set"])
-def test_sampling_matches_random_on_a_clashing_code(monkeypatch, L, generators):
-    # reference: the documented draw made with random's own methods, counted
-    # with _rot and _run_once; a code that is no CAC makes violations happen
-    code = Code.from_generators(L, 3, generators)
-    n, full = len(code), (1 << L) - 1
+def _reference_run(code, seed, trials):
+    # the documented draw made with random's own methods, counted with _rot
+    # and _run_once
+    n, L, full = len(code), code.length, (1 << code.length) - 1
     masks = [to_protocol_sequence(cw).mask for cw in code.codewords]
     per_user, violations = dict.fromkeys(range(n), 0), []
-    for t in range(400):
-        rng = random.Random(f"11:{t}")
-        k = rng.randint(1, min(3, n))
+    for t in range(trials):
+        rng = random.Random(f"{seed}:{t}")
+        k = rng.randint(1, min(code.weight, n))
         active = [(i, rng.randrange(L)) for i in rng.sample(range(n), k)]
         counts = _run_once([_rot(masks[i], -d, L, full) for i, d in active])
         for (i, _), c in zip(active, counts):
             per_user[i] += c
         if 0 in counts:
             violations.append({"trial": t, "active": [[i, d] for i, d in active]})
+    return per_user, tuple(violations)
+
+
+@pytest.mark.parametrize("L, generators", [(7, [1, 2, 3]), (13, list(range(1, 13)) * 2)],
+                         ids=["pool", "set"])
+def test_sampling_matches_random_on_a_clashing_code(monkeypatch, L, generators):
+    # a code that is no CAC makes violations happen
+    code = Code.from_generators(L, 3, generators)
+    per_user, violations = _reference_run(code, 11, 400)
     assert violations
     monkeypatch.setattr(channel, "require_cac", lambda code: None)
     rep = simulate(Scenario(code, seed=11, trials=400))
     assert rep.per_user == per_user
-    assert rep.violations == tuple(violations)
+    assert rep.violations == violations
+
+
+@st.composite
+def codes_with_repeats(draw):
+    w = draw(st.integers(2, 5))
+    L = draw(st.integers(w, 24))
+    valid = [g for g in range(1, L) if L // gcd(L, g) >= w]
+    gens = draw(st.lists(st.sampled_from(valid), min_size=1, max_size=8))
+    # up to 32 codewords: past sample's pool/set switch at 21/22 for k <= 5
+    return Code.from_generators(L, w, gens * draw(st.integers(1, 4)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(codes_with_repeats(), st.integers(0, 2 ** 32), st.integers(0, 200))
+def test_sampling_matches_random_on_any_code(code, seed, trials):
+    # the inline draws and count against the reference, on codes that are
+    # mostly no CAC; each violation's active set starves someone when run
+    # alone in explicit mode too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel, "require_cac", lambda code: None)
+        rep = simulate(Scenario(code, seed=seed, trials=trials))
+        assert (rep.per_user, rep.violations) == _reference_run(code, seed, trials)
+        for v in rep.violations:
+            again = simulate(Scenario(code, active=tuple(map(tuple, v["active"]))))
+            assert again.violations == ({"active": v["active"]},)
 
 
 def test_simulate_cac_never_starves(rng):

@@ -468,8 +468,9 @@ def test_simulate_sampled_json_digest(tmp_path, capsys, make, seed, trials, dige
 
 
 def test_simulate_refuses_a_huge_length_at_once(tmp_path):
-    # four 10^12-bit masks would be 500 GB; the address-space limit turns a
-    # missing guard into a MemoryError instead of exhausting the machine
+    # three doubled codewords and the full mask, seven 10^12-bit masks, would be
+    # 875 GB; the address-space limit turns a missing guard into a MemoryError
+    # instead of exhausting the machine
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"code": {"L": 10**12, "w": 3, "generators": [10**11, 3, 7]},
                                 "seed": 1, "trials": 5}))
@@ -481,7 +482,7 @@ def test_simulate_refuses_a_huge_length_at_once(tmp_path):
                           capture_output=True, text=True, env=subprocess_env(), timeout=60,
                           preexec_fn=limit_memory)
     assert proc.returncode == 4, proc.stderr
-    assert proc.stderr == ("cacforge: budget exceeded: 4 masks of 1000000000000 bits "
+    assert proc.stderr == ("cacforge: budget exceeded: 7 masks of 1000000000000 bits "
                            "exceed 1073741824\n")
 
 
@@ -571,6 +572,26 @@ def test_parse_errors_name_the_file(tmp_path, capsys):
     assert (rc, err) == (3, f"cacforge: ParseError: parse error at {cat} line 3 column 2: "
                             f"Expecting property name enclosed in double quotes\n")
 
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+    c5, c13 = _theorem2_inputs(tmp_path, capsys)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    message = f"cacforge: ParseError: parse error at {deep}: value at line 1 nested too deep\n"
+    for argv in (["verify", deep], ["simulate", deep],
+                 ["construct", "theorem2", "--cert1", deep, "--cert2", c13],
+                 ["catalog", "update", c5, deep, "--catalog", tmp_path / "c.jsonl"]):
+        rc, out, err = run(capsys, *map(str, argv))
+        assert (rc, out, err) == (3, "", message), argv
+    assert not (tmp_path / "c.jsonl").exists()
+    # a JSONL catalog names the line the deep value is on
+    cat = tmp_path / "deep.jsonl"
+    cat.write_text('{"L": 13, "w": 3, "best_size": 3, "source": "x"}\n\n' + "[" * 100_000 + "\n")
+    rc, out, err = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert (rc, out, err) == (3, "", f"cacforge: ParseError: parse error at {cat}: "
+                                     f"value at line 3 nested too deep\n")
 
 def test_catalog_flow(tmp_path, capsys, monkeypatch):
     cat = tmp_path / "cat.jsonl"

@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .bounds import (
@@ -89,8 +88,13 @@ def cmd_bound(args) -> int:
 
 def _read_json(path: str, jsonl: bool = False):
     """The JSON value in the file at path, or with jsonl the values on its
-    non-blank lines. Bad syntax or too deep a nesting is a ParseError naming file and line."""
-    text = Path(path).read_text()
+    non-blank lines. Text that is not UTF-8, bad syntax or too deep a nesting is a
+    ParseError naming the file, and the line where it can."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"parse error at {path} line {line}: not UTF-8 ({e.reason})") from e
     docs = ([(n, t) for n, t in enumerate(text.splitlines(), 1) if t.strip()]
             if jsonl else [(1, text)])
     values = []
@@ -127,7 +131,7 @@ def cmd_construct(args) -> int:
     cert = build(args)
     text = json.dumps(cert.to_json(), indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote certificate for ({cert.code.length},{cert.code.weight}) "
               f"with {len(cert.code)} codewords to {args.out}")
     else:
@@ -187,12 +191,7 @@ def _non_negative(text: str) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sc = scenario_from_json(_read_json(args.file))
-    if args.seed is not None:
-        sc = replace(sc, seed=args.seed)
-    if args.trials is not None:
-        sc = replace(sc, trials=args.trials)
-    rep = simulate(sc)
+    rep = simulate(scenario_from_json(_read_json(args.file)))
     if args.json:
         print(json.dumps(rep.to_json(), sort_keys=True))
     else:
@@ -202,10 +201,6 @@ def cmd_simulate(args) -> int:
         if len(rep.violations) > 5:
             print(f"  ... and {len(rep.violations) - 5} more")
     return 0
-
-
-def _catalog_path(args) -> str:
-    return args.catalog or os.environ.get("CACFORGE_CATALOG") or "catalog.jsonl"
 
 
 def _normalize_entry(obj: dict) -> dict:
@@ -254,7 +249,7 @@ def _write_catalog(path: str, entries: dict) -> None:
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
+        tmp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
         os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
@@ -294,7 +289,7 @@ def _integrity_error(entries: dict) -> str | None:
 
 
 def cmd_catalog(args) -> int:
-    path = _catalog_path(args)
+    path = args.catalog
     update = args.action == "update"
     if update and not args.files:
         _err("catalog update requires at least one result file")
@@ -379,14 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("simulate", parents=[js], help="run a channel scenario JSON file")
     m.add_argument("file")
-    m.add_argument("--seed", type=int, help="override the scenario seed")
-    m.add_argument("--trials", type=_non_negative, help="override the scenario trial count")
 
     g = sub.add_parser("catalog", parents=[js], help="maintain the certified-results catalog")
     g.add_argument("action", choices=["update", "show", "check"])
     g.add_argument("files", nargs="*", help="result files to merge (update)")
-    g.add_argument("--catalog",
-                   help="catalog path (default: $CACFORGE_CATALOG or ./catalog.jsonl)")
+    g.add_argument("--catalog", default="catalog.jsonl",
+                   help="catalog path (default: ./catalog.jsonl)")
     return ap
 
 

@@ -372,7 +372,11 @@ def _max_clique(adj, orbits, budget: int, ceiling: int, sets) -> tuple[int, list
                     holders[x] |= 1 << k
         current.append(r)
         open_ = (1 << L) - 2 ^ residues[r]
-        expand(1, (1 << len(verts)) - 1, open_, rows, non, verts, masks, holders)
+        try:
+            expand(1, (1 << len(verts)) - 1, open_, rows, non, verts, masks, holders)
+        except RecursionError:  # expand recurses once per clique member
+            raise BudgetExceeded("search deeper than the recursion limit",
+                                 best=list(best), size=len(best), nodes=nodes) from None
         current.pop()
     return len(best), best, nodes
 
@@ -401,10 +405,10 @@ def max_equi_diff_cac(
 ) -> OracleResult:
     """Exact M^e(L, w) with a witness code.
 
-    Refuses lengths above the desk-scale cap (and node counts above
-    budget) by raising BudgetExceeded; on a node-budget stop the error
-    carries the incumbent as a non-exact lower bound. A negative budget
-    or cap raises ValueError.
+    Refuses lengths above the desk-scale cap (node counts above budget,
+    and a clique deeper than the recursion limit) by raising BudgetExceeded;
+    on a search stop the error carries the incumbent as a non-exact lower
+    bound. A negative budget or cap raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")

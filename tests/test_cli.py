@@ -418,10 +418,9 @@ def test_simulate(tmp_path, capsys):
 
     sampled = tmp_path / "sampled.json"
     sampled.write_text(json.dumps({
-        "code": {"L": 15, "w": 3, "generators": [1, 3, 4, 5]},
+        "code": {"L": 15, "w": 3, "generators": [1, 3, 4, 5]}, "seed": 3, "trials": 200,
     }))
-    rc, out, _ = run(capsys, "simulate", str(sampled),
-                     "--seed", "3", "--trials", "200", "--json")
+    rc, out, _ = run(capsys, "simulate", str(sampled), "--json")
     assert rc == 0
     obj = json.loads(out)
     assert obj["runs"] == 200
@@ -530,27 +529,18 @@ def test_out_of_range_inputs_exit_3(tmp_path, capsys, command, obj, error):
     assert "Traceback" not in out + err
 
 
-@pytest.mark.parametrize("trials", ["-5", "x"])
-def test_simulate_rejects_bad_trials_override(tmp_path, capsys, trials):
+@pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--trials", "5")],
+                         ids=["seed", "trials"])
+def test_simulate_takes_seed_and_trials_only_from_the_file(tmp_path, capsys, flag, value):
+    # the scenario file is the whole record of a run: argparse refuses the flag
     sc = tmp_path / "scenario.json"
     sc.write_text(json.dumps({"code": _CODE_9_3}))
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", str(sc), "--trials", trials])
+        main(["simulate", str(sc), flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--trials" in err
+    assert f"unrecognized arguments: {flag} {value}" in err
     assert "Traceback" not in err
-
-
-def test_simulate_trials_override_keeps_the_scenario_contract(tmp_path, capsys):
-    # an explicit scenario runs once; --trials may not turn it into a sampled one
-    sc = tmp_path / "explicit.json"
-    sc.write_text(json.dumps({"code": _CODE_9_3, "active": [{"idx": 0, "delay": 1}]}))
-    rc, out, err = run(capsys, "simulate", str(sc), "--trials", "50", "--json")
-    assert (rc, out) == (3, "")
-    assert err == "cacforge: ParamMismatch: an active set runs once; trials must be 0, got 50\n"
-    rc, out, _ = run(capsys, "simulate", str(sc), "--trials", "0", "--json")
-    assert rc == 0 and json.loads(out)["runs"] == 1
 
 
 def test_parse_errors_name_the_file(tmp_path, capsys):
@@ -574,24 +564,30 @@ def test_parse_errors_name_the_file(tmp_path, capsys):
 
 
 
-def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+@pytest.mark.parametrize("value, message", [
     # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+    (b"[" * 100_000 + b"]" * 100_000, "{path}: value at line {line} nested too deep"),
+    # JSON text is UTF-8 (RFC 8259), whatever the locale
+    (b'{"L": 9, "w": 3, "generators": [1, 3], "note": "\xff"}',
+     "{path} line {line}: not UTF-8 (invalid start byte)"),
+], ids=["deep-nesting", "not-utf-8"])
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, value, message):
     c5, c13 = _theorem2_inputs(tmp_path, capsys)
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000 + "]" * 100_000)
-    message = f"cacforge: ParseError: parse error at {deep}: value at line 1 nested too deep\n"
-    for argv in (["verify", deep], ["simulate", deep],
-                 ["construct", "theorem2", "--cert1", deep, "--cert2", c13],
-                 ["catalog", "update", c5, deep, "--catalog", tmp_path / "c.jsonl"]):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(value)
+    expected = f"cacforge: ParseError: parse error at {message}\n".format(path=bad, line=1)
+    for argv in (["verify", bad], ["simulate", bad],
+                 ["construct", "theorem2", "--cert1", bad, "--cert2", c13],
+                 ["catalog", "update", c5, bad, "--catalog", tmp_path / "c.jsonl"]):
         rc, out, err = run(capsys, *map(str, argv))
-        assert (rc, out, err) == (3, "", message), argv
+        assert (rc, out, err) == (3, "", expected), argv
     assert not (tmp_path / "c.jsonl").exists()
-    # a JSONL catalog names the line the deep value is on
-    cat = tmp_path / "deep.jsonl"
-    cat.write_text('{"L": 13, "w": 3, "best_size": 3, "source": "x"}\n\n' + "[" * 100_000 + "\n")
+    # a JSONL catalog names the line the bad value is on
+    cat = tmp_path / "bad.jsonl"
+    cat.write_bytes(b'{"L": 13, "w": 3, "best_size": 3, "source": "x"}\n\n' + value + b"\n")
     rc, out, err = run(capsys, "catalog", "check", "--catalog", str(cat))
-    assert (rc, out, err) == (3, "", f"cacforge: ParseError: parse error at {cat}: "
-                                     f"value at line 3 nested too deep\n")
+    expected = f"cacforge: ParseError: parse error at {message}\n".format(path=cat, line=3)
+    assert (rc, out, err) == (3, "", expected)
 
 def test_catalog_flow(tmp_path, capsys, monkeypatch):
     cat = tmp_path / "cat.jsonl"
@@ -622,11 +618,17 @@ def test_catalog_flow(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert "(0 updated)" in out
 
-    # the env var stands in for --catalog
-    monkeypatch.setenv("CACFORGE_CATALOG", str(cat))
+    # without --catalog it is ./catalog.jsonl; an environment variable names nothing
+    monkeypatch.chdir(tmp_path)
+    cat.rename("catalog.jsonl")
+    other = tmp_path / "other.jsonl"
+    other.write_text("{oops\n")  # read, it would be a parse error
+    monkeypatch.setenv("CACFORGE_CATALOG", str(other))
     rc, out, _ = run(capsys, "catalog", "show")
     assert rc == 0
-    assert "(13,3)" in out
+    assert "(13,3) best 3" in out
+    assert "(15,3) best 4" in out
+    assert other.read_text() == "{oops\n"
 
 
 def test_catalog_show_empty_and_blank_lines(tmp_path, capsys):

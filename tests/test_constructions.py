@@ -281,9 +281,11 @@ def test_only_the_paper_reports_read_new_bound():
 def test_each_check_is_made_in_one_place():
     # one unit propagation per oracle branch, one clash message, one exact
     # order test, one divisor scan, one JSON reader, one string check and
-    # one reader of a certificate's claims
+    # one reader of a certificate's claims; no input from the environment,
+    # and no file read or written in the locale's encoding
     package = Path(cacforge.__file__).parent
     propagations, clashes, defined, readers, strings, claims = [], [], [], [], [], []
+    environ, unencoded = [], []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}  # node -> innermost enclosing function (ast.walk is breadth first)
@@ -302,8 +304,15 @@ def test_each_check_is_made_in_one_place():
                     clashes.append(site)
                 elif name == "loads":
                     readers.append(site)
+                elif name in ("read_text", "write_text", "open") and not any(
+                        k.arg == "encoding" for k in node.keywords):
+                    unencoded.append(site)
             elif isinstance(node, ast.Constant) and "must be a string" in str(node.value):
                 strings.append(f"{path.stem}.{owner.get(node, '<module>')}")
+            # os.environ, os.getenv, os.putenv, or the bare names imported from os
+            if getattr(node, "attr", getattr(node, "id", getattr(node, "name", None))) in (
+                    "environ", "getenv", "putenv"):
+                environ.append(f"{path.stem}.{owner.get(node, '<module>')}")
             # obj["bound"], obj["flags"], obj.get("bound") or obj.get("flags")
             key = (node.slice if isinstance(node, ast.Subscript) else
                    node.args[0] if isinstance(node, ast.Call) and node.args
@@ -316,6 +325,8 @@ def test_each_check_is_made_in_one_place():
     assert readers == ["cli._read_json"]
     assert strings == ["errors.json_str"]
     assert set(claims) == {"codes._certificate_claims"}
+    assert environ == []
+    assert unencoded == []
 
 
 @pytest.mark.parametrize("call, error, message", [

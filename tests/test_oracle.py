@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -126,6 +127,23 @@ def test_oracle_budget_reports_nodes():
     with pytest.raises(BudgetExceeded) as ei:
         max_equi_diff_cac(199, 3, budget=5)
     assert ei.value.nodes == 5
+
+
+def test_search_deeper_than_the_recursion_limit_carries_incumbent():
+    # expand recurses once per clique member; (401, 3) reaches its clique of
+    # 100 in 99 nodes, so a limit 60 frames above this one stops it part way
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        with pytest.raises(BudgetExceeded) as ei:
+            max_equi_diff_cac(401, 3, cap=401)
+    finally:
+        sys.setrecursionlimit(limit)
+    err = ei.value
+    assert str(err) == "search deeper than the recursion limit"
+    assert not err.exact and 0 < err.nodes < 99
+    assert verify_cac(err.best).ok
+    assert len(err.best) == err.size
 
 
 def _ceiling(L, w):

@@ -30,7 +30,6 @@ from .codes import (
     verify_cac,
 )
 from .constructions import (
-    DEFAULT_CODEWORD_CAP,
     Theorem1Params,
     construct_lemma1,
     construct_theorem1,
@@ -95,7 +94,7 @@ def _read_json(path: str, jsonl: bool = False):
     except UnicodeDecodeError as e:
         line = e.object.count(b"\n", 0, e.start) + 1
         raise ParseError(f"parse error at {path} line {line}: not UTF-8 ({e.reason})") from e
-    docs = ([(n, t) for n, t in enumerate(text.splitlines(), 1) if t.strip()]
+    docs = ([(n, t) for n, t in enumerate(text.split("\n"), 1) if t.strip()]
             if jsonl else [(1, text)])
     values = []
     for first, doc in docs:
@@ -112,13 +111,12 @@ def _read_json(path: str, jsonl: bool = False):
 # each method's required flags and its builder; a builder names its
 # construct_* when called, so a replaced module global is the one it runs
 _CONSTRUCT = {
-    "lemma1": (("p", "w"), lambda a: construct_lemma1(a.p, a.w, a.alpha, a.cap)),
+    "lemma1": (("p", "w"), lambda a: construct_lemma1(a.p, a.w, a.alpha)),
     "theorem1": (("p", "w", "m", "s"), lambda a: construct_theorem1(
-        Theorem1Params(a.p, a.w, a.m, a.s, a.alpha), a.cap)),
+        Theorem1Params(a.p, a.w, a.m, a.s, a.alpha))),
     "theorem2": (("cert1", "cert2"), lambda a: construct_theorem2(
-        Certificate.from_json(_read_json(a.cert1)), Certificate.from_json(_read_json(a.cert2)),
-        a.cap)),
-    "two-prime": (("p", "q", "w"), lambda a: construct_two_prime(a.p, a.q, a.w, a.cap)),
+        Certificate.from_json(_read_json(a.cert1)), Certificate.from_json(_read_json(a.cert2)))),
+    "two-prime": (("p", "q", "w"), lambda a: construct_two_prime(a.p, a.q, a.w)),
 }
 
 
@@ -178,16 +176,6 @@ def cmd_search(args) -> int:
             f"{res.witness.canonical_generators()}, {res.nodes} search nodes"
         )
     return 0
-
-
-def _non_negative(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return n
 
 
 def cmd_simulate(args) -> int:
@@ -265,15 +253,14 @@ def _integrity_error(entries: dict) -> str | None:
         if entry["best_size"] > floor:
             return (f"integrity error: ({L},{w}) best_size {entry['best_size']} "
                     f"exceeds bound floor {floor}")
-        if entry["generators"]:
-            try:
-                code = Code.from_generators(L, w, entry["generators"])
-                ok = verify_cac(code).ok and len(code) == entry["best_size"]
-            except CacError:
-                ok = False
-            if not ok:
-                return (f"integrity error: ({L},{w}) stored generators do not "
-                        f"certify best_size {entry['best_size']}")
+        try:
+            code = Code.from_generators(L, w, entry["generators"])
+            ok = verify_cac(code).ok and len(code) == entry["best_size"]
+        except CacError:
+            ok = False
+        if not ok:
+            return (f"integrity error: ({L},{w}) stored generators do not "
+                    f"certify best_size {entry['best_size']}")
         if entry["exact"] and entry["best_size"] < floor:
             claims.append((L, w, entry["best_size"]))
     for L, w, size in claims:
@@ -358,8 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--alpha", type=int, help="primitive root override")
     c.add_argument("--cert1", help="first input certificate (theorem2)")
     c.add_argument("--cert2", help="second input certificate (theorem2)")
-    c.add_argument("--cap", type=_non_negative, default=DEFAULT_CODEWORD_CAP,
-                   help=f"largest code to build, in codewords (default {DEFAULT_CODEWORD_CAP:,})")
     c.add_argument("--out", help="write the certificate JSON here instead of stdout")
 
     v = sub.add_parser("verify", parents=[js], help="verify a code or certificate JSON file")
@@ -368,9 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("search", parents=[js], help="exact oracle value of M^e(L, w)")
     s.add_argument("L", type=int)
     s.add_argument("w", type=int)
-    s.add_argument("--budget", type=_non_negative, default=DEFAULT_NODE_BUDGET,
+    s.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="search node budget")
-    s.add_argument("--cap", type=_non_negative, help="override the desk-scale length cap")
+    s.add_argument("--cap", type=int, help="override the desk-scale length cap")
 
     m = sub.add_parser("simulate", parents=[js], help="run a channel scenario JSON file")
     m.add_argument("file")

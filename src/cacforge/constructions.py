@@ -12,8 +12,8 @@ Three families, each returning a fully verified Certificate:
 Every stated precondition is machine checked; a failed condition raises
 a typed error carrying the offending object instead of emitting an
 unverified code. Each family knows its codeword count from its
-parameters, and refuses a code above `cap` codewords (BudgetExceeded)
-before it builds anything.
+parameters, and refuses a code above CODEWORD_BUDGET codewords
+(BudgetExceeded) before it builds anything.
 """
 
 from __future__ import annotations
@@ -49,17 +49,14 @@ from .numtheory import (
 )
 
 
-# codewords a construction builds unless its cap argument says otherwise
-DEFAULT_CODEWORD_CAP = 1_000_000
+# the most codewords a construction builds; read at call time
+CODEWORD_BUDGET = 1_000_000
 
 
-def _check_size(count: int, cap: int) -> None:
-    """Refuse a code of more than cap codewords before it is built."""
-    if cap < 0:
-        raise ValueError(f"codeword cap must be >= 0, got {cap}")
-    if count > cap:
-        raise BudgetExceeded(f"{count} codewords above cap {cap}; "
-                             f"pass a larger cap (--cap) to build it")
+def _check_size(count: int) -> None:
+    """Refuse a code of more than CODEWORD_BUDGET codewords before it is built."""
+    if count > CODEWORD_BUDGET:
+        raise BudgetExceeded(f"{count} codewords exceed budget {CODEWORD_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +118,7 @@ def _optimal_tight(cert: Certificate) -> Certificate:
     return cert
 
 
-def construct_lemma1(p: int, w: int, alpha: int | None = None,
-                     cap: int = DEFAULT_CODEWORD_CAP) -> Certificate:
+def construct_lemma1(p: int, w: int, alpha: int | None = None) -> Certificate:
     """Prime p = 2(w-1)m + 1; codewords generated by the powers of alpha^(w-1).
 
     Requires 1..w-1 to be an SDR of the cosets of <alpha^(w-1)> in Z_p^x.
@@ -134,11 +130,10 @@ def construct_lemma1(p: int, w: int, alpha: int | None = None,
     if (p - 1) % (2 * w - 2):
         raise ParamMismatch(f"p = {p} is not of the form 2(w-1)m + 1 for w = {w}")
     m = (p - 1) // (2 * w - 2)
-    return _prime_length_code(p, w, m, 1, alpha, {"method": "lemma1", "p": p, "w": w, "m": m},
-                              cap)
+    return _prime_length_code(p, w, m, 1, alpha, {"method": "lemma1", "p": p, "w": w, "m": m})
 
 
-def construct_theorem1(params: Theorem1Params, cap: int = DEFAULT_CODEWORD_CAP) -> Certificate:
+def construct_theorem1(params: Theorem1Params) -> Certificate:
     """Prime p = 2(w-1)ms + 1; sm codewords generated by alpha^(i + s(w-1)j).
 
     H = <alpha^s> has order 2m(w-1) and N1 = <alpha^(s(w-1))> has order 2m
@@ -153,7 +148,7 @@ def construct_theorem1(params: Theorem1Params, cap: int = DEFAULT_CODEWORD_CAP) 
     if p != 2 * (w - 1) * m * s + 1:
         raise ParamMismatch(f"p = {p} but 2(w-1)ms + 1 = {2 * (w - 1) * m * s + 1}")
     return _prime_length_code(
-        p, w, m, s, params.alpha, {"method": "theorem1", "p": p, "w": w, "m": m, "s": s}, cap
+        p, w, m, s, params.alpha, {"method": "theorem1", "p": p, "w": w, "m": m, "s": s}
     )
 
 
@@ -189,14 +184,14 @@ def _offending_coset(p: int, w: int, m: int, n1: int) -> frozenset[int]:
 
 
 def _prime_length_code(p: int, w: int, m: int, s: int, alpha: int | None,
-                       params: dict, cap: int = DEFAULT_CODEWORD_CAP) -> Certificate:
+                       params: dict) -> Certificate:
     """The code of theorem 1 (lemma 1 when s = 1) for validated parameters.
 
-    The ms codewords are checked against cap first. alpha is resolved (and
+    The ms codewords are checked against the budget first. alpha is resolved (and
     checked) here, and recorded as params' last key. One factorization of
     p - 1 serves the primitivity test and both subgroup-order checks.
     """
-    _check_size(m * s, cap)
+    _check_size(m * s)
     primes = factorize(p - 1).primes
     alpha = _resolve_alpha(p, alpha, primes)
     params = {**params, "alpha": alpha}
@@ -239,8 +234,7 @@ def find_theorem1_params(p: int, w: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def construct_theorem2(cert1: Certificate, cert2: Certificate,
-                       cap: int = DEFAULT_CODEWORD_CAP) -> Certificate:
+def construct_theorem2(cert1: Certificate, cert2: Certificate) -> Certificate:
     """Compose optimal tight prime-length codes into one of length p1*p2.
 
     Codewords: g + i*p1 for every generator g of the first code and
@@ -263,7 +257,7 @@ def construct_theorem2(cert1: Certificate, cert2: Certificate,
             raise InputNotOptimal(
                 f"input of length {p} has {len(code)} codewords, optimal is {floor}"
             )
-    _check_size(p2 * len(code1) + len(code2), cap)
+    _check_size(p2 * len(code1) + len(code2))
     L = p1 * p2
     gens = [(g + i * p1) % L for g in code1.generators for i in range(p2)]
     gens += [b * p1 for b in code2.generators]
@@ -311,7 +305,7 @@ def check_condition(L: int, w: int, kind: int) -> ConditionWitness | None:
     return None
 
 
-def construct_two_prime(p: int, q: int, w: int, cap: int = DEFAULT_CODEWORD_CAP) -> Certificate:
+def construct_two_prime(p: int, q: int, w: int) -> Certificate:
     """Optimal tight (pq, w)-code with pf + 1 codewords, q = 2(w-1)f + 1.
 
     Three parts: generators enumerating a condition witness subgroup of
@@ -325,7 +319,7 @@ def construct_two_prime(p: int, q: int, w: int, cap: int = DEFAULT_CODEWORD_CAP)
     if not is_prime(q) or (q - 1) % (2 * w - 2) or (q - 1) // (2 * w - 2) < 1:
         raise ParamMismatch(f"q must be a prime of the form 2(w-1)f + 1, got {q}")
     f = (q - 1) // (2 * w - 2)
-    _check_size(p * f + 1, cap)
+    _check_size(p * f + 1)
     L = p * q
 
     params = {"method": "two_prime", "p": p, "q": q, "w": w, "f": f}

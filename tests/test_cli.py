@@ -214,21 +214,27 @@ def test_construct_out_and_theorem2(tmp_path, capsys):
     assert len(cert.code) == 16
 
 
-def test_construct_refuses_a_huge_code_at_once(capsys):
+def test_construct_refuses_a_huge_code_at_once(capsys, monkeypatch):
+    import cacforge.constructions as constructions
+
     # 10^12 + 61 is a prime of the form 4m + 1: lemma 1 would build m codewords
     rc, out, err = run(capsys, "construct", "lemma1", "--p", "1000000000061", "--w", "3")
     assert (rc, out) == (4, "")
-    assert "250000000015 codewords above cap 1000000; pass a larger cap (--cap)" in err
-    assert run(capsys, "construct", "lemma1", "--p", "13", "--w", "3", "--cap", "2")[0] == 4
-    assert run(capsys, "construct", "lemma1", "--p", "13", "--w", "3", "--cap", "3")[0] == 0
+    assert err == "cacforge: budget exceeded: 250000000015 codewords exceed budget 1000000\n"
+    # the budget is read when a construction runs
+    monkeypatch.setattr(constructions, "CODEWORD_BUDGET", 2)
+    assert run(capsys, "construct", "lemma1", "--p", "13", "--w", "3")[0] == 4
+    monkeypatch.setattr(constructions, "CODEWORD_BUDGET", 3)
+    assert run(capsys, "construct", "lemma1", "--p", "13", "--w", "3")[0] == 0
 
 
-def test_construct_rejects_a_negative_cap(capsys):
+def test_construct_takes_no_cap(capsys):
+    # the codeword budget is a constant: no flag sets it
     with pytest.raises(SystemExit) as exc:
-        main(["construct", "lemma1", "--p", "13", "--w", "3", "--cap", "-1"])
+        main(["construct", "lemma1", "--p", "13", "--w", "3", "--cap", "2"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "--cap" in err and "Traceback" not in err
+    assert "unrecognized arguments: --cap 2" in err and "Traceback" not in err
 
 
 def test_verify_certificate_and_code(tmp_path, capsys):
@@ -372,20 +378,23 @@ def test_search_reports_nodes(capsys):
     assert "after 5 search nodes" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["search", "157", "4", "--cap", "157", "--budget", "-1"],
-    ["search", "15", "3", "--budget", "x"],
-    ["search", "157", "4", "--cap", "-5"],
+@pytest.mark.parametrize("argv, message", [
+    (["search", "157", "4", "--cap", "157", "--budget", "-1"], "node budget must be >= 0, got -1"),
+    (["search", "15", "3", "--budget", "x"], None),
+    (["search", "157", "4", "--cap", "-5"], "length cap must be >= 0, got -5"),
 ], ids=["negative-budget", "bad-budget", "negative-cap"])
-def test_search_rejects_negative_budget_and_cap(capsys, argv):
+def test_search_rejects_negative_budget_and_cap(capsys, argv, message):
     # the node count never reaches a negative budget, and a negative cap
-    # refuses every length: both are usage errors, not searches
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert argv[-2] in err
-    assert "Traceback" not in err
+    # refuses every length: both are usage errors, not searches. The library
+    # checks the value; the parser only reads an integer
+    if message is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--budget: invalid int value: 'x'" in err and "Traceback" not in err
+    else:
+        assert run(capsys, *argv) == (2, "", f"cacforge: {message}\n")
 
 
 def test_search_budget_zero_stops_at_once(capsys):
@@ -644,15 +653,25 @@ def test_catalog_show_empty_and_blank_lines(tmp_path, capsys):
     rc, out, _ = run(capsys, "catalog", "show", "--catalog", str(cat))
     assert rc == 0
     assert out == "(13,3) best 3 exact=True source=x\n(15,3) best 4 exact=True source=x\n"
+    # JSON allows U+2028 and U+0085 raw in a string: only "\n" ends a line
+    e13 = dict(e13, source="a\u2028b\u0085c")
+    cat.write_text(json.dumps(e13, ensure_ascii=False) + "\n", encoding="utf-8")
+    rc, out, _ = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert (rc, out) == (0, f"catalog {cat}: ok, 1 entries\n")
+    assert run(capsys, "catalog", "show", "--catalog", str(cat), "--json")[1] == (
+        json.dumps(e13, sort_keys=True) + "\n")
 
 
 def test_catalog_integrity_takes_the_exact_refund_floor(tmp_path, capsys):
-    # at (504, 9) the paper's floor is 31; the proven floor is 32
+    # at (504, 9) the paper's floor is 31; the proven floor is 32, which
+    # passes the floor check and falls to the code check (M^e(504, 9) = 16)
     cat = tmp_path / "cat.jsonl"
     entry = {"L": 504, "w": 9, "best_size": 32, "source": "x", "exact": False,
              "generators": []}
     cat.write_text(json.dumps(entry) + "\n")
-    assert run(capsys, "catalog", "check", "--catalog", str(cat))[0] == 0
+    rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
+    assert (rc, err) == (3, "cacforge: integrity error: (504,9) stored generators do not "
+                            "certify best_size 32\n")
     cat.write_text(json.dumps(dict(entry, best_size=33)) + "\n")
     rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
     assert rc == 3
@@ -832,6 +851,18 @@ def test_catalog_integrity(tmp_path, capsys):
     assert good.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
 
+    # an entry without generators is the empty code: at the floor, where the
+    # oracle never re-proves it, it still certifies only best_size 0
+    assert exact_refund_floor(1000, 3) == 250
+    bare = {"L": 1000, "w": 3, "best_size": 250, "source": "x", "exact": True}
+    forged.write_text(json.dumps(bare))
+    rc, out, err = run(capsys, "catalog", "update", str(forged), "--catalog", str(good))
+    assert (rc, out, err) == (3, "", "cacforge: integrity error: (1000,3) stored generators "
+                                     "do not certify best_size 250\n")
+    assert good.read_bytes() == before
+    cat.write_text(json.dumps(dict(bare, best_size=0, exact=False)) + "\n")
+    assert run(capsys, "catalog", "check", "--catalog", str(cat))[0] == 0
+
 
 @pytest.mark.parametrize("entry", [
     {"L": 13, "w": 3, "best_size": 1, "exact": True, "generators": [1], "source": "x"},
@@ -867,7 +898,7 @@ def test_catalog_reproves_after_the_cheap_checks(tmp_path, capsys):
     assert rc == 3
     assert "(15,3) best_size 99 exceeds bound floor" in err
     # a claim beyond the oracle's length cap cannot be confirmed
-    cat.write_text(json.dumps(dict(false_claim, L=300, generators=[])) + "\n")
+    cat.write_text(json.dumps(dict(false_claim, L=300)) + "\n")
     rc, _, err = run(capsys, "catalog", "check", "--catalog", str(cat))
     assert rc == 3
     assert err == ("cacforge: integrity error: (300,3) best_size 1 is claimed exact, but the "

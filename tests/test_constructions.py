@@ -254,10 +254,18 @@ def test_every_export_has_a_use_outside_the_unit_tests():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cacforge"):
                 used.update(alias.name for alias in node.names)
-    readme = (root / "README.md").read_text()
-    library = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
-    used.update(re.findall(r"\bcf\.(\w+)", library))
+    used.update(re.findall(r"\bcf\.(\w+)", _readme_library()))
     assert sorted(exported - used) == []
+
+
+def _readme_library() -> str:
+    """The README's Library example, as written."""
+    readme = (Path(cacforge.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    exec(compile(_readme_library(), "README.md", "exec"), {})
 
 
 def test_only_the_paper_reports_read_new_bound():
@@ -282,10 +290,11 @@ def test_each_check_is_made_in_one_place():
     # one unit propagation per oracle branch, one clash message, one exact
     # order test, one divisor scan, one JSON reader, one string check and
     # one reader of a certificate's claims; no input from the environment,
-    # and no file read or written in the locale's encoding
+    # no file read or written in the locale's encoding, and no value check
+    # in the argument parser: the library checks a limit's value
     package = Path(cacforge.__file__).parent
     propagations, clashes, defined, readers, strings, claims = [], [], [], [], [], []
-    environ, unencoded = [], []
+    environ, unencoded, parser_checks = [], [], []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}  # node -> innermost enclosing function (ast.walk is breadth first)
@@ -310,9 +319,11 @@ def test_each_check_is_made_in_one_place():
             elif isinstance(node, ast.Constant) and "must be a string" in str(node.value):
                 strings.append(f"{path.stem}.{owner.get(node, '<module>')}")
             # os.environ, os.getenv, os.putenv, or the bare names imported from os
-            if getattr(node, "attr", getattr(node, "id", getattr(node, "name", None))) in (
-                    "environ", "getenv", "putenv"):
+            ident = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+            if ident in ("environ", "getenv", "putenv"):
                 environ.append(f"{path.stem}.{owner.get(node, '<module>')}")
+            elif ident == "ArgumentTypeError":
+                parser_checks.append(f"{path.stem}.{owner.get(node, '<module>')}")
             # obj["bound"], obj["flags"], obj.get("bound") or obj.get("flags")
             key = (node.slice if isinstance(node, ast.Subscript) else
                    node.args[0] if isinstance(node, ast.Call) and node.args
@@ -327,6 +338,7 @@ def test_each_check_is_made_in_one_place():
     assert set(claims) == {"codes._certificate_claims"}
     assert environ == []
     assert unencoded == []
+    assert parser_checks == []
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -455,16 +467,15 @@ def test_constructions_refuse_codes_above_the_cap(monkeypatch):
     import cacforge.constructions as constructions
 
     c5, c13 = construct_lemma1(5, 3), construct_lemma1(13, 3)
-    builds = {  # codeword count: the construction with a given cap
-        3: lambda cap: construct_lemma1(13, 3, cap=cap),
-        4: lambda cap: construct_theorem1(Theorem1Params(17, 3, 2, 2, 3), cap),
-        16: lambda cap: construct_theorem2(c5, c13, cap),
-        10: lambda cap: construct_two_prime(3, 13, 3, cap),
+    builds = {  # codeword count: the construction
+        3: lambda: construct_lemma1(13, 3),
+        4: lambda: construct_theorem1(Theorem1Params(17, 3, 2, 2, 3)),
+        16: lambda: construct_theorem2(c5, c13),
+        10: lambda: construct_two_prime(3, 13, 3),
     }
     for count, build in builds.items():
-        assert len(build(count).code) == count
-        with pytest.raises(ValueError, match="cap must be >= 0"):
-            build(-1)
+        monkeypatch.setattr(constructions, "CODEWORD_BUDGET", count)
+        assert len(build().code) == count
 
     def built(*args):
         raise AssertionError("a refused construction must refuse before it builds")
@@ -473,8 +484,9 @@ def test_constructions_refuse_codes_above_the_cap(monkeypatch):
     for name in ("factorize", "totient", "Code"):
         monkeypatch.setattr(constructions, name, built)
     for count, build in builds.items():
-        with pytest.raises(BudgetExceeded, match=f"^{count} codewords above cap {count - 1};"):
-            build(count - 1)
+        monkeypatch.setattr(constructions, "CODEWORD_BUDGET", count - 1)
+        with pytest.raises(BudgetExceeded, match=f"^{count} codewords exceed budget {count - 1}$"):
+            build()
 
 
 def test_theorem2_compose():

@@ -13,6 +13,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import gcd
+from operator import attrgetter
 
 from .bounds import BoundReport, new_bound
 from .errors import (
@@ -58,6 +59,13 @@ class DifferenceSet:
                 raise ValueError("difference set not closed under negation")
 
 
+# difference_set and Code.from_generators build value objects past
+# __init__, where the checks hold as built; bound once, as they run per
+# codeword
+_new = object.__new__
+_set_ds_length, _set_ds_elements = DifferenceSet.length.__set__, DifferenceSet.elements.__set__
+
+
 def support(cw: EquiDiffCodeword) -> frozenset[int]:
     return frozenset(j * cw.generator % cw.length for j in range(cw.weight))
 
@@ -65,18 +73,21 @@ def support(cw: EquiDiffCodeword) -> frozenset[int]:
 def difference_set(cw: EquiDiffCodeword) -> DifferenceSet:
     """d*(cw) = {+-jg mod L : 1 <= j <= w-1}; size min(L/gcd(L,g), 2w-1) - 1."""
     L, w, g = cw.length, cw.weight, cw.generator
-    elems = set()
-    for j in range(1, w):
-        x = j * g % L
-        elems.add(x)
-        elems.add(L - x)
-    # the frozen dataclass's __init__ without __post_init__, whose checks
-    # hold by construction: EquiDiffCodeword checked 1 <= g <= L-1 and
+    elems = []
+    x = 0  # jg mod L as a running sum
+    for _ in range(1, w):
+        x += g
+        if x >= L:
+            x -= L
+        elems.append(x)
+        elems.append(L - x)
+    # the slots set directly, without __post_init__, whose checks hold by
+    # construction: EquiDiffCodeword checked 1 <= g <= L-1 and
     # L/gcd(L, g) >= w, so x = jg mod L is nonzero for 1 <= j <= w-1; x and
     # L-x then lie in 1..L-1, and the +- pairs close the set under negation
-    ds = object.__new__(DifferenceSet)
-    object.__setattr__(ds, "length", L)
-    object.__setattr__(ds, "elements", frozenset(elems))
+    ds = _new(DifferenceSet)
+    _set_ds_length(ds, L)
+    _set_ds_elements(ds, frozenset(elems))
     return ds
 
 
@@ -112,7 +123,33 @@ class Code:
 
     @classmethod
     def from_generators(cls, L: int, w: int, generators) -> "Code":
-        return cls(L, w, tuple(EquiDiffCodeword(L, w, g) for g in generators))
+        """The (L, w) code of one codeword per generator, in order.
+
+        Each codeword gets EquiDiffCodeword's checks inline and its slots
+        set directly; a generator that fails them is handed to the public
+        constructor, which raises its error. Every codeword is built with
+        this (L, w), so __post_init__'s shared-(L, w) loop holds as built.
+        """
+        if L < 2 or w < 2:
+            raise DegenerateCodeword(f"need L >= 2 and w >= 2, got ({L},{w})")
+        new, top = _new, L - 1
+        set_length = EquiDiffCodeword.length.__set__
+        set_weight = EquiDiffCodeword.weight.__set__
+        set_generator = EquiDiffCodeword.generator.__set__
+        codewords = []
+        for g in generators:
+            if not 1 <= g <= top or L // gcd(L, g) < w:
+                EquiDiffCodeword(L, w, g)
+            cw = new(EquiDiffCodeword)
+            set_length(cw, L)
+            set_weight(cw, w)
+            set_generator(cw, g)
+            codewords.append(cw)
+        code = new(cls)
+        object.__setattr__(code, "length", L)
+        object.__setattr__(code, "weight", w)
+        object.__setattr__(code, "codewords", tuple(codewords))
+        return code
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -187,7 +224,7 @@ def is_tight(code: Code) -> bool:
     # two passes where verify_cac(code).covered == L - 1 needs one; the
     # benchmark's tracer test pins the difference_set calls this makes
     require_cac(code)
-    total = sum(len(difference_set(cw).elements) for cw in code.codewords)
+    total = sum(map(len, map(attrgetter("elements"), map(difference_set, code.codewords))))
     return total == code.length - 1
 
 

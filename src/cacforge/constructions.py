@@ -207,8 +207,16 @@ def _prime_length_code(p: int, w: int, m: int, s: int, alpha: int | None,
             f"1..{w - 1} is not an SDR of the cosets of <{n1}> in <{h}> mod {p}",
             coset=lambda: _offending_coset(p, w, m, n1),
         )
-    step = s * (w - 1)
-    gens = [pow(alpha, i + step * j, p) for i in range(s) for j in range(m)]
+    # alpha^(i + s(w-1)j) for i < s, j < m, in that order, by running
+    # products: alpha^i steps by alpha, and each row by n1 = alpha^(s(w-1))
+    gens = []
+    first = 1
+    for _ in range(s):
+        x = first
+        for _ in range(m):
+            gens.append(x)
+            x = x * n1 % p
+        first = first * alpha % p
     return _certificate(Code.from_generators(p, w, gens), params)
 
 
@@ -332,7 +340,10 @@ def construct_two_prime(p: int, q: int, w: int) -> Certificate:
                 f"Z_{n}^x admits no qualifying cyclic subgroup", modulus=n
             )
         count = wit.H.order // 2 if wit.kind == 1 else wit.H.order
-        gens += [scale * pow(wit.H.generator, i, n) for i in range(count)]
+        x, a = 1, wit.H.generator  # a^i for i < count, by a running product
+        for _ in range(count):
+            gens.append(scale * x)
+            x = x * a % n
         params[f"condition_{name}"] = wit.to_json()
     gens.append(q)
 

@@ -7,13 +7,18 @@ well past that range.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 from math import gcd, isqrt
 
 from .errors import NotAUnit, NotPrime
 
 # deterministic for all n < 3.3 * 10^24, far beyond 64-bit
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# factorize divides by trial below this, then splits what is left by rho
+_TRIAL_LIMIT = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -68,7 +73,8 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Trial division; adequate at the magnitudes this package targets."""
+    """Trial division by d < 2^16, then Pollard-Brent rho on a composite
+    cofactor, whose prime factors all exceed 2^16."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     m = n
@@ -87,6 +93,10 @@ def factorize(n: int) -> Factorization:
     while d * d <= m:
         if fresh and is_prime(m):
             break
+        if d >= _TRIAL_LIMIT:
+            out += sorted(Counter(_rho_primes(m)).items())
+            m = 1
+            break
         fresh = False
         for q in (d, d + 2):
             e = 0
@@ -100,6 +110,46 @@ def factorize(n: int) -> Factorization:
     if m > 1:
         out.append((m, 1))
     return Factorization(n, tuple(out))
+
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of the odd composite n by Brent's variant of Pollard's
+    rho: x -> x^2 + c from x = 2, for c = 1, 2, ... until one splits n."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _rho_primes(m: int) -> list[int]:
+    """The prime factors of the composite m, with multiplicity, unordered."""
+    primes, stack = [], [m]
+    while stack:
+        k = stack.pop()
+        if is_prime(k):
+            primes.append(k)
+        else:
+            f = _brent_factor(k)
+            stack += (f, k // f)
+    return primes
 
 
 def _divisors_between(L: int, lo: int, hi: int) -> list[int]:

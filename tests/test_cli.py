@@ -67,6 +67,25 @@ def test_bound_all_at_a_large_prime_and_weight(capsys):
     )
 
 
+def test_bound_all_at_a_product_of_two_32_bit_primes():
+    # 4294967279 * 4294967291: trial division alone ran past 20 s on a
+    # shared 2-CPU machine; a child process keeps a regression from hanging
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cacforge", "bound", "18446743979220271189", "3", "--all"],
+        capture_output=True, text=True, env=subprocess_env(), timeout=2)
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "bounds for (L=18446743979220271189, w=3):\n"
+        "  new:            floor 4611685994805067797  raw 18446743979220271188/4  "
+        "omega_star []\n"
+        "  prime-divisor:  floor 4611685994805067798  raw 4611685994805067798/1\n"
+        "  subset-excess:  floor 4611685994805067797  raw 4611685994805067797/1  set []\n"
+        "  corollary1:     4611685994805067797\n"
+    )
+
+
 @pytest.mark.parametrize("L, w, out", [
     ("720720", "30",
      "bounds for (L=720720, w=30):\n"

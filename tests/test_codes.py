@@ -135,6 +135,74 @@ def test_difference_set_runs_no_check_but_the_public_constructor_does(monkeypatc
     assert checked == [919, 9, 13]
 
 
+def _checked_code(L, w, gens):
+    """Code.from_generators as the public constructors build it."""
+    return Code(L, w, tuple(EquiDiffCodeword(L, w, g) for g in gens))
+
+
+@st.composite
+def _valid_generators(draw):
+    L = draw(st.integers(2, 10**6))
+    w = draw(st.integers(2, min(L, 12)))
+    gens = draw(st.lists(st.integers(1, L - 1).filter(lambda g: L // math.gcd(L, g) >= w),
+                         max_size=12))
+    return L, w, gens
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_valid_generators())
+def test_from_generators_equals_the_checked_build(case):
+    L, w, gens = case
+    code, checked = Code.from_generators(L, w, gens), _checked_code(L, w, gens)
+    assert code == checked and hash(code) == hash(checked)
+    assert type(code) is Code and code.generators == tuple(gens)
+    for cw, ref in zip(code.codewords, checked.codewords, strict=True):
+        assert type(cw) is EquiDiffCodeword and not hasattr(cw, "__dict__")
+        assert (cw.length, cw.weight, cw.generator) == (ref.length, ref.weight, ref.generator)
+        assert hash(cw) == hash(ref) and difference_set(cw) == difference_set(ref)
+    with pytest.raises(FrozenInstanceError):
+        code.length = 5
+
+
+@pytest.mark.parametrize("L, w, gens", [
+    (13, 3, [1, 0]), (13, 3, [13]), (13, 3, [4, -1, 0]), (8, 3, [1, 4, 0]), (671, 12, [1, 61]),
+    (1, 2, [1]), (1, 2, []), (9, 1, [1]), (9, 1, []), (0, 0, [5]),
+], ids=["g-zero", "g-L", "g-negative", "order-first-bad", "order-671", "L-below-2",
+        "L-below-2-empty", "w-below-2", "w-below-2-empty", "both-below-2"])
+def test_from_generators_raises_as_the_public_constructor(L, w, gens):
+    with pytest.raises(DegenerateCodeword) as want:
+        _checked_code(L, w, gens)
+    with pytest.raises(DegenerateCodeword) as got:
+        Code.from_generators(L, w, gens)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_from_generators_runs_no_codeword_check_but_the_constructor_does(monkeypatch):
+    checked = []
+    check = EquiDiffCodeword.__post_init__
+    code_check = Code.__post_init__
+
+    def counting(self):
+        checked.append(self.generator)
+        check(self)
+
+    def code_counting(self):
+        checked.append(("code", len(self.codewords)))
+        code_check(self)
+
+    monkeypatch.setattr(EquiDiffCodeword, "__post_init__", counting)
+    monkeypatch.setattr(Code, "__post_init__", code_counting)
+    code = Code.from_generators(13, 3, [1, 5])
+    assert verify_cac(construct_lemma1(13, 3).code).covered == 12
+    assert checked == []
+    assert EquiDiffCodeword(13, 3, 5) == code.codewords[1]
+    assert checked == [5]
+    # a failing generator is handed to the constructor, which raises
+    with pytest.raises(DegenerateCodeword, match="generator 13 outside"):
+        Code.from_generators(13, 3, [2, 13])
+    assert checked == [5, 13]
+
+
 def test_exceptional():
     # an exceptional codeword's differences, with 0, are the subgroup <gcd(L, g)>
     for L, w, g in [(9, 3, 3), (12, 4, 2), (30, 4, 6), (671, 11, 61), (20, 6, 2)]:

@@ -124,6 +124,24 @@ def test_find_theorem1_params():
             assert cert.flags.tight and cert.flags.optimal_by_bound
 
 
+def test_theorem1_generators_by_running_products_match_pow():
+    # alpha^(i + s(w-1)j) is built by one product per generator; the order
+    # of the generators is part of the certificate path
+    found = 0
+    for w in range(3, 7):
+        for p in range(2 * w - 1, 3000):
+            for m, s, alpha in find_theorem1_params(p, w):
+                gens = construct_theorem1(Theorem1Params(p, w, m, s, alpha)).code.generators
+                assert list(gens) == [pow(alpha, i + s * (w - 1) * j, p)
+                                      for i in range(s) for j in range(m)], (p, w, m, s)
+                found += 1
+    assert found == 281
+    # an alpha given outside 1..p-1 (15 and -11 are 2 mod 13)
+    for alpha in (15, -11):
+        gens = construct_lemma1(13, 3, alpha=alpha).code.generators
+        assert gens == tuple(pow(alpha, 2 * j, 13) for j in range(3)) == (1, 4, 3)
+
+
 def test_theorem1_sdr_by_exponents_matches_coset_enumeration():
     cases = 0
     for p in range(3, 2500):
@@ -290,20 +308,42 @@ def test_each_check_is_made_in_one_place():
     # one unit propagation per oracle branch, one clash message, one exact
     # order test, one divisor scan, one JSON reader, one string check and
     # one reader of a certificate's claims; no input from the environment,
-    # no file read or written in the locale's encoding, and no value check
-    # in the argument parser: the library checks a limit's value
+    # no file read or written in the locale's encoding, no value check in
+    # the argument parser (the library checks a limit's value), and no value
+    # object built past its constructor's checks but where they hold as built
     package = Path(cacforge.__file__).parent
     propagations, clashes, defined, readers, strings, claims = [], [], [], [], [], []
-    environ, unencoded, parser_checks = [], [], []
+    environ, unencoded, parser_checks, direct_builds = [], [], [], []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}  # node -> innermost enclosing function (ast.walk is breadth first)
+        method = {}  # node -> Class.method of the method holding it
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((node, fn.name) for node in ast.walk(fn))
                 if fn.name in ("_order_is", "_divisors_between"):
                     defined.append(f"{path.stem}.{fn.name}")
+            elif isinstance(fn, ast.ClassDef):
+                method.update((node, f"{fn.name}.{m.name}") for m in fn.body
+                              if isinstance(m, ast.FunctionDef) for node in ast.walk(m))
+        # object.__new__, a slot descriptor's __set__ or object.__setattr__;
+        # one bound, not called, to a module-level name counts where that
+        # name is used
+        bypass = ("__new__", "__set__", "__setattr__")
+        aliases, bound = set(), set()
+        for stmt in tree.body:
+            value = list(ast.walk(stmt.value)) if isinstance(stmt, ast.Assign) else []
+            if any(getattr(n, "attr", None) in bypass for n in value) and not any(
+                    isinstance(n, ast.Call) for n in value):
+                bound.update(value)
+                aliases.update(t.id for target in stmt.targets for t in ast.walk(target)
+                               if isinstance(t, ast.Name))
         for node in ast.walk(tree):
+            if node not in bound and (getattr(node, "attr", None) in bypass or (
+                    isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id in aliases)):
+                site = method.get(node, owner.get(node, "<module>"))
+                direct_builds.append(f"{path.stem}.{site}")
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 site = f"{path.stem}.{owner.get(node, '<module>')}"
@@ -339,6 +379,7 @@ def test_each_check_is_made_in_one_place():
     assert environ == []
     assert unencoded == []
     assert parser_checks == []
+    assert set(direct_builds) == {"codes.difference_set", "codes.Code.from_generators"}
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -605,6 +646,17 @@ def test_two_prime_small():
     cert = construct_two_prime(3, 13, 3)
     assert len(cert.code) == 10 == cert.bound_floor
     assert cert.code.canonical_generators() == [1, 3, 4, 9, 10, 12, 13, 14, 16, 17]
+
+
+@pytest.mark.parametrize("p, q, w", [(3, 5, 3), (3, 13, 3), (5, 7, 4), (5, 859, 4), (7, 701, 6)])
+def test_two_prime_generators_by_running_products_match_pow(p, q, w):
+    cert = construct_two_prime(p, q, w)
+    want = []
+    for name, n, scale in (("L", p * q, 1), ("q", q, p)):
+        wit = cert.params[f"condition_{name}"]
+        count = wit["order"] // 2 if wit["kind"] == 1 else wit["order"]
+        want += [scale * pow(wit["generator"], i, n) for i in range(count)]
+    assert list(cert.code.generators) == want + [q]
 
 
 def test_two_prime_w4():

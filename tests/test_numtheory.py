@@ -1,6 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cacforge.errors import NotAUnit, NotPrime
 from cacforge.numtheory import (
@@ -91,6 +94,26 @@ def test_factorize_retests_primality_only_after_a_division(monkeypatch):
     # 10007, then two from Factorization's own validation
     assert nt.factorize(10007 * 10009).factors == ((10007, 1), (10009, 1))
     assert calls == [10007 * 10009, 10007, 10009]
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+_PRIMES_28_TO_32_BITS = st.integers(2 ** 27, 2 ** 32 - 6).map(_next_prime)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_PRIMES_28_TO_32_BITS, _PRIMES_28_TO_32_BITS, st.integers(1, 2 ** 16))
+@example(4294967279, 4294967291, 1)
+@example(2147483647, 2147483647, 65521 * 3)
+@example(65537, 65537, 65519)
+def test_factorize_splits_products_of_large_primes(p, q, k):
+    # past trial division's 2^16 limit the cofactor p*q goes to Pollard-Brent rho
+    want = sorted((Counter(dict(factorize(k).factors)) + Counter([p, q])).items())
+    assert factorize(k * p * q).factors == tuple(want)
 
 
 def test_divisors():

@@ -14,8 +14,10 @@ from math import gcd, isqrt
 
 from .errors import NotAUnit, NotPrime
 
-# deterministic for all n < 3.3 * 10^24, far beyond 64-bit
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes: deterministic below psi_13 = 3,317,044,064,679,887,385,961,981
+# (Sorenson and Webster, Math. Comp. 2017); 41 rejects psi_12, the least
+# strong pseudoprime to all the bases below it
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # factorize divides by trial below this, then splits what is left by rho
 _TRIAL_LIMIT = 1 << 16

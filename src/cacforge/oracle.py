@@ -309,47 +309,6 @@ def _max_clique(adj, orbits, budget: int, ceiling: int, sets) -> tuple[int, list
     residues = [sum(1 << x for x in s) for s in sets]
     smin = min(map(len, sets))
     nodes = 0
-    current: list[int] = []  # members in the caller's vertex labels
-
-    # the subproblem's tables go in as arguments: expand refers to itself, and
-    # whatever its closure holds lives until the cycle collector runs
-    def expand(size: int, P: int, open_: int, rows, non, verts, masks, holders) -> None:
-        # open_ marks the residues the path leaves uncovered
-        nonlocal nodes, best, bar
-        if nodes == budget:
-            raise BudgetExceeded(
-                f"node budget {budget} exhausted", best=list(best), size=len(best), nodes=nodes
-            )
-        nodes += 1
-        order, colors, peeled = _greedy_color(P, non, bar - size + 1)
-        work = P
-        for i in range(len(order) - 1, -1, -1):
-            c = colors[i]
-            if size + c <= bar:
-                return
-            v = order[i]
-            work ^= 1 << v
-            current.append(verts[v])
-            sub = work & rows[v]
-            if sub:
-                # sub lies in classes 1..c-1; when just enough of them are
-                # left and all were peeled, an improving clique takes one
-                # vertex each
-                tight = size + c == bar + 1 and c - 1 == len(peeled)
-                # an improving clique takes bar - size more sets of at least
-                # smin residues each from those v leaves open
-                rest = open_ ^ masks[v]
-                spare = rest.bit_count() - (bar - size) * smin
-                if not _branch_cut(
-                    L, smin, spare, sub, rest, masks, holders, rows, peeled if tight else []
-                ):
-                    expand(size + 1, sub, rest, rows, non, verts, masks, holders)
-            elif size + 1 > bar:
-                best = current.copy()
-                bar = size + 1
-            current.pop()
-            if bar >= ceiling:
-                return
 
     excluded = 0
     for orbit in orbits:
@@ -370,14 +329,53 @@ def _max_clique(adj, orbits, budget: int, ceiling: int, sets) -> tuple[int, list
             for x in sets[v]:
                 if x + x <= L:
                     holders[x] |= 1 << k
-        current.append(r)
-        open_ = (1 << L) - 2 ^ residues[r]
-        try:
-            expand(1, (1 << len(verts)) - 1, open_, rows, non, verts, masks, holders)
-        except RecursionError:  # expand recurses once per clique member
-            raise BudgetExceeded("search deeper than the recursion limit",
-                                 best=list(best), size=len(best), nodes=nodes) from None
-        current.pop()
+        current = [r]  # members in the caller's vertex labels
+        # a frame (size, open_, order, colors, peeled, work, i) per node above
+        # the current one: open_ marks the residues its path leaves uncovered,
+        # work its candidates not yet branched on, and i its branch taken
+        frames = []
+        size, P, open_ = 1, (1 << len(verts)) - 1, (1 << L) - 2 ^ residues[r]
+        while True:
+            if P:  # enter a node with candidates P
+                if nodes == budget:
+                    raise BudgetExceeded(f"node budget {budget} exhausted",
+                                         best=list(best), size=len(best), nodes=nodes)
+                nodes += 1
+                order, colors, peeled = _greedy_color(P, non, bar - size + 1)
+                work, i, P = P, len(order), 0
+            # colours fall with i and bar never does, so the first branch that
+            # cannot beat bar ends the node
+            while i and bar < ceiling and size + colors[i - 1] > bar:
+                i -= 1
+                c = colors[i]
+                v = order[i]
+                work ^= 1 << v
+                current.append(verts[v])
+                sub = work & rows[v]
+                if sub:
+                    # sub lies in classes 1..c-1; when just enough of them are
+                    # left and all were peeled, an improving clique takes one
+                    # vertex each
+                    tight = size + c == bar + 1 and c - 1 == len(peeled)
+                    # an improving clique takes bar - size more sets of at least
+                    # smin residues each from those v leaves open
+                    rest = open_ ^ masks[v]
+                    spare = rest.bit_count() - (bar - size) * smin
+                    if not _branch_cut(
+                        L, smin, spare, sub, rest, masks, holders, rows, peeled if tight else []
+                    ):
+                        frames.append((size, open_, order, colors, peeled, work, i))
+                        size, P, open_ = size + 1, sub, rest
+                        break
+                elif size + 1 > bar:
+                    best = current.copy()
+                    bar = size + 1
+                current.pop()
+            else:
+                if not frames:
+                    break
+                size, open_, order, colors, peeled, work, i = frames.pop()
+                current.pop()
     return len(best), best, nodes
 
 
@@ -405,10 +403,10 @@ def max_equi_diff_cac(
 ) -> OracleResult:
     """Exact M^e(L, w) with a witness code.
 
-    Refuses lengths above the desk-scale cap (node counts above budget,
-    and a clique deeper than the recursion limit) by raising BudgetExceeded;
-    on a search stop the error carries the incumbent as a non-exact lower
-    bound. A negative budget or cap raises ValueError.
+    Refuses lengths above the desk-scale cap, and searches that need more
+    nodes than budget, by raising BudgetExceeded; on a budget stop the
+    error carries the incumbent as a non-exact lower bound. A negative
+    budget or cap raises ValueError.
     """
     if budget < 0:
         raise ValueError(f"node budget must be >= 0, got {budget}")

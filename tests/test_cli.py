@@ -86,6 +86,22 @@ def test_bound_all_at_a_product_of_two_32_bit_primes():
     )
 
 
+def test_bound_all_at_the_least_strong_pseudoprime_to_the_first_twelve_primes(capsys):
+    # psi_12 = 399165290221 * 798330580441 is composite, so the prime-divisor
+    # floor counts its two prime divisors: one above the floor of a prime L
+    rc, out, _ = run(capsys, "bound", "318665857834031151167461", "3", "--all")
+    assert rc == 0
+    assert out == (
+        "bounds for (L=318665857834031151167461, w=3):\n"
+        "  new:            floor 79666464458507787791865  raw 318665857834031151167460/4  "
+        "omega_star []\n"
+        "  prime-divisor:  floor 79666464458507787791866  raw 79666464458507787791866/1\n"
+        "  subset-excess:  floor 79666464458507787791865  raw 79666464458507787791865/1  "
+        "set []\n"
+        "  corollary1:     79666464458507787791865\n"
+    )
+
+
 @pytest.mark.parametrize("L, w, out", [
     ("720720", "30",
      "bounds for (L=720720, w=30):\n"
@@ -420,6 +436,16 @@ def test_search_budget_zero_stops_at_once(capsys):
     rc, _, err = run(capsys, "search", "157", "4", "--cap", "157", "--budget", "0")
     assert rc == 4
     assert "after 0 search nodes" in err
+
+
+def test_search_deeper_than_a_thousand_members_is_exact(capsys):
+    # exact_refund_floor(4001, 3) is 1000: the search stops at the first
+    # clique of that size, 1000 members deep, with no stop at any depth
+    rc, out, _ = run(capsys, "search", "4001", "3", "--cap", "4001", "--json")
+    assert rc == 0
+    obj = json.loads(out)
+    assert obj["max"] == 1000 and len(obj["witness"]) == 1000
+    assert obj["exact"] is True
 
 
 def test_search_bad_witness_exit(capsys, monkeypatch):

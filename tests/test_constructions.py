@@ -309,11 +309,15 @@ def test_each_check_is_made_in_one_place():
     # order test, one divisor scan, one JSON reader, one string check and
     # one reader of a certificate's claims; no input from the environment,
     # no file read or written in the locale's encoding, no value check in
-    # the argument parser (the library checks a limit's value), and no value
-    # object built past its constructor's checks but where they hold as built
+    # the argument parser (the library checks a limit's value), no value
+    # object built past its constructor's checks but where they hold as built,
+    # no function that calls itself by name (the oracle keeps its path in a
+    # list of frames, so no search stops at the recursion limit) and no
+    # RecursionError caught but json.loads's on deep nesting
     package = Path(cacforge.__file__).parent
     propagations, clashes, defined, readers, strings, claims = [], [], [], [], [], []
     environ, unencoded, parser_checks, direct_builds = [], [], [], []
+    self_calls, recursion = [], []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}  # node -> innermost enclosing function (ast.walk is breadth first)
@@ -347,6 +351,8 @@ def test_each_check_is_made_in_one_place():
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 site = f"{path.stem}.{owner.get(node, '<module>')}"
+                if isinstance(node.func, ast.Name) and node.func.id == owner.get(node):
+                    self_calls.append(site)
                 if name == "_refuted":
                     propagations.append(site)
                 elif name == "NotACac":
@@ -364,6 +370,8 @@ def test_each_check_is_made_in_one_place():
                 environ.append(f"{path.stem}.{owner.get(node, '<module>')}")
             elif ident == "ArgumentTypeError":
                 parser_checks.append(f"{path.stem}.{owner.get(node, '<module>')}")
+            elif ident == "RecursionError":
+                recursion.append(f"{path.stem}.{owner.get(node, '<module>')}")
             # obj["bound"], obj["flags"], obj.get("bound") or obj.get("flags")
             key = (node.slice if isinstance(node, ast.Subscript) else
                    node.args[0] if isinstance(node, ast.Call) and node.args
@@ -379,6 +387,8 @@ def test_each_check_is_made_in_one_place():
     assert environ == []
     assert unencoded == []
     assert parser_checks == []
+    assert self_calls == []
+    assert recursion == ["cli._read_json"]
     assert set(direct_builds) == {"codes.difference_set", "codes.Code.from_generators"}
 
 

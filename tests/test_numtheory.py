@@ -32,6 +32,14 @@ def test_is_prime_larger():
     assert not is_prime(919 * 929)
 
 
+def test_is_prime_rejects_the_least_strong_pseudoprime_to_the_first_twelve_primes():
+    # psi_12 passes Miller-Rabin to every base 2..37; base 41 rejects it
+    psi12 = 318_665_857_834_031_151_167_461
+    assert not is_prime(psi12)
+    assert is_prime(399_165_290_221) and is_prime(798_330_580_441)
+    assert factorize(psi12).factors == ((399_165_290_221, 1), (798_330_580_441, 1))
+
+
 def test_factorize_pins():
     f = factorize(840)
     assert f.factors == ((2, 3), (3, 1), (5, 1), (7, 1))

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cacforge
+import cacforge.cli as cli
 import cacforge.oracle as oracle
 import oracle_reference
 from cacforge.bounds import exact_refund_floor, new_bound
@@ -129,21 +130,23 @@ def test_oracle_budget_reports_nodes():
     assert ei.value.nodes == 5
 
 
-def test_search_deeper_than_the_recursion_limit_carries_incumbent():
-    # expand recurses once per clique member; (401, 3) reaches its clique of
-    # 100 in 99 nodes, so a limit 60 frames above this one stops it part way
+def test_search_depth_is_not_bounded_by_the_recursion_limit(capsys):
+    # the search keeps its path in a list of frames, not on the call stack:
+    # (401, 3) reaches its clique of 100 in 99 nodes under a limit 60 frames
+    # above this one. The parser is cached, so it is built before the limit
+    # is lowered
+    cli._build_parser()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
-        with pytest.raises(BudgetExceeded) as ei:
-            max_equi_diff_cac(401, 3, cap=401)
+        res = max_equi_diff_cac(401, 3, cap=401)
+        rc = cli.main(["search", "401", "3", "--cap", "401", "--json"])
     finally:
         sys.setrecursionlimit(limit)
-    err = ei.value
-    assert str(err) == "search deeper than the recursion limit"
-    assert not err.exact and 0 < err.nodes < 99
-    assert verify_cac(err.best).ok
-    assert len(err.best) == err.size
+    assert (res.size, res.exact, res.nodes) == (100, True, 99)
+    assert verify_cac(res.witness).ok
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["exact"] is True
 
 
 def _ceiling(L, w):
